@@ -30,9 +30,6 @@ import (
 	"repro/internal/stats"
 )
 
-// benchScale keeps full `go test -bench .` runs around a minute.
-const benchScale = 0.01
-
 var (
 	distOnce  sync.Once
 	distRes   *repro.Result
@@ -48,10 +45,7 @@ var (
 func distributed(b *testing.B) (*repro.Result, *repro.Report) {
 	b.Helper()
 	distOnce.Do(func() {
-		cfg := repro.ScaledDistributed(benchScale)
-		cfg.Catalog = catalog.Config{NumFiles: 10_000, Vocabulary: 1_000, PopularityExp: 0.9, Seed: 1}
-		cfg.LibraryRegion = 3_000
-		res, err := repro.RunDistributed(cfg)
+		res, err := repro.RunSpec(smallDistributed(b))
 		if err != nil {
 			b.Fatalf("distributed campaign: %v", err)
 		}
@@ -68,9 +62,7 @@ func distributed(b *testing.B) (*repro.Result, *repro.Report) {
 func greedy(b *testing.B) (*repro.Result, *repro.Report) {
 	b.Helper()
 	greedyOnce.Do(func() {
-		cfg := repro.ScaledGreedy(benchScale)
-		cfg.Catalog = catalog.Config{NumFiles: 10_000, Vocabulary: 1_000, PopularityExp: 0.9, Seed: 2}
-		res, err := repro.RunGreedy(cfg)
+		res, err := repro.RunSpec(smallGreedy(b))
 		if err != nil {
 			b.Fatalf("greedy campaign: %v", err)
 		}
@@ -373,12 +365,11 @@ func BenchmarkLogstoreScan(b *testing.B) {
 // BenchmarkCampaignDistributed measures the full distributed simulation
 // (world build, 32 virtual days, merge+anonymize) at a small scale.
 func BenchmarkCampaignDistributed(b *testing.B) {
-	cfg := repro.ScaledDistributed(0.002)
-	cfg.Catalog = catalog.Config{NumFiles: 3_000, Vocabulary: 500, PopularityExp: 0.9, Seed: 1}
-	cfg.LibraryRegion = 1_000
+	spec := paperSpec(b, "distributed", 0.002, catalog.Config{NumFiles: 3_000, Vocabulary: 500, PopularityExp: 0.9, Seed: 1})
+	spec.Workloads[0].LibraryRegion = 1_000
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := repro.RunDistributed(cfg)
+		res, err := repro.RunSpec(spec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -388,11 +379,11 @@ func BenchmarkCampaignDistributed(b *testing.B) {
 
 // BenchmarkCampaignGreedy measures the full greedy simulation.
 func BenchmarkCampaignGreedy(b *testing.B) {
-	cfg := repro.ScaledGreedy(0.002)
-	cfg.Catalog = catalog.Config{NumFiles: 3_000, Vocabulary: 500, PopularityExp: 0.9, Seed: 2}
+	spec := paperSpec(b, "greedy", 0.002, catalog.Config{NumFiles: 3_000, Vocabulary: 500, PopularityExp: 0.9, Seed: 2})
+	setAdoptionCap(&spec, 50)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := repro.RunGreedy(cfg)
+		res, err := repro.RunSpec(spec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -405,14 +396,13 @@ func BenchmarkCampaignGreedy(b *testing.B) {
 // metric is REQUEST-PART volume per distinct peer.
 func BenchmarkAblationStrategy(b *testing.B) {
 	run := func(b *testing.B, evenStrategyIsRandom bool) {
-		cfg := repro.ScaledDistributed(0.005)
-		cfg.Days = 8
-		cfg.Catalog = catalog.Config{NumFiles: 3_000, Vocabulary: 500, PopularityExp: 0.9, Seed: 3}
-		cfg.LibraryRegion = 1_000
-		cfg.HeavyHitters = 0
+		spec := paperSpec(b, "distributed", 0.005, catalog.Config{NumFiles: 3_000, Vocabulary: 500, PopularityExp: 0.9, Seed: 3})
+		spec.Days = 8
+		spec.Workloads[0].LibraryRegion = 1_000
+		spec.Workloads[0].HeavyHitters = 0
 		// The campaign alternates strategies; to ablate we measure the two
 		// groups of the same run separately.
-		res, err := repro.RunDistributed(cfg)
+		res, err := repro.RunSpec(spec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -489,13 +479,20 @@ func BenchmarkAblationSourceOrderBias(b *testing.B) {
 // fraction of the population each honeypot observes.
 func BenchmarkAblationMultiServer(b *testing.B) {
 	run := func(b *testing.B, servers int) {
-		cfg := repro.ScaledDistributed(0.004)
-		cfg.Days = 6
-		cfg.Servers = servers
-		cfg.HeavyHitters = 0
-		cfg.Catalog = catalog.Config{NumFiles: 3_000, Vocabulary: 500, PopularityExp: 0.9, Seed: 4}
-		cfg.LibraryRegion = 1_000
-		res, err := repro.RunDistributed(cfg)
+		spec := paperSpec(b, "distributed", 0.004, catalog.Config{NumFiles: 3_000, Vocabulary: 500, PopularityExp: 0.9, Seed: 4})
+		spec.Days = 6
+		spec.Workloads[0].HeavyHitters = 0
+		spec.Workloads[0].LibraryRegion = 1_000
+		if servers > 1 {
+			spec.Topology.Servers = servers
+			for i := range spec.Fleet {
+				spec.Fleet[i].Server = i % servers
+			}
+			for i := 0; i < servers; i++ {
+				spec.Workloads[0].Servers = append(spec.Workloads[0].Servers, i)
+			}
+		}
+		res, err := repro.RunSpec(spec)
 		if err != nil {
 			b.Fatal(err)
 		}

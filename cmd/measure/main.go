@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	measure [-scale 0.1] [-campaign both|distributed|greedy] [-out dir] [-seed 1]
+//	measure [-scale 0.1] [-out dir] [-seed N]  run the paper's two campaigns: distributed, then greedy
 //	measure -scenario NAME [-scale 0.1]      run a registered scenario
 //	measure -scenario-file spec.json         run a campaign spec from disk
 //	measure -list-scenarios                  print the scenario registry and exit
@@ -18,12 +18,14 @@
 //	                                         dataset; nonzero exit when out of tolerance
 //	measure -scenario NAME -calibrate -calibration-file obs.json  custom observed dataset
 //
-// The -campaign path keeps the paper's two typed configs; -scenario and
-// -scenario-file run any declarative spec (federations, churn fleets,
-// flash crowds, ...) through the same engine. Terminal output
-// summarizes each artifact; with -out, the raw series are written as
-// CSV files (fig02.csv ... fig12.csv, table1.txt) that plot directly
-// with gnuplot.
+// With no -scenario, measure runs the registered "distributed" and
+// "greedy" specs in turn; -scenario and -scenario-file run any
+// declarative spec (federations, churn fleets, flash crowds, ...)
+// through the same engine. -seed replaces each spec's own seed. Terminal
+// output summarizes every artifact the campaign's paper plan fills; with
+// -out, each is also written as scenario_NAME_table1.txt or
+// scenario_NAME_figNN_*.csv (fig02 ... fig12), which plot directly with
+// gnuplot.
 //
 // Analyses are declarative too: -queries (comma-separated registered
 // query names) or -plan-file (an analysis.Plan as JSON: query names
@@ -64,25 +66,23 @@ func main() {
 	log.SetPrefix("measure: ")
 	var (
 		scale       = flag.Float64("scale", 0.1, "arrival intensity scale; multiplies the spec's own scale (1.0 = paper magnitudes)")
-		campaign    = flag.String("campaign", "both", "campaign to run: distributed, greedy or both")
 		outDir      = flag.String("out", "", "directory for CSV series (optional)")
-		seed        = flag.Int64("seed", 1, "simulation seed")
+		seed        = flag.Int64("seed", 1, "simulation seed (default: each spec's own)")
 		jsonl       = flag.Bool("jsonl", false, "also dump the anonymized dataset as JSONL into -out")
-		servers     = flag.Int("servers", 1, "directory servers for the distributed campaign (1 = paper setup)")
 		storeDir    = flag.String("store", "", "spill records to a segmented on-disk logstore under this directory (per-campaign subdirectory)")
-		stream      = flag.Bool("stream", false, "finalize through the streaming record pipeline: the dataset flows straight into the columnar frame, never materializing records (scenario runs only)")
-		exportDir   = flag.String("export", "", "stream the anonymized dataset into an on-disk logstore under this directory for later analysis (per-scenario subdirectory; implies -stream, scenario runs only)")
-		scenName    = flag.String("scenario", "", "run a registered scenario by name instead of -campaign")
+		stream      = flag.Bool("stream", false, "finalize through the streaming record pipeline: the dataset flows straight into the columnar frame, never materializing records")
+		exportDir   = flag.String("export", "", "stream the anonymized dataset into an on-disk logstore under this directory for later analysis (per-scenario subdirectory; implies -stream)")
+		scenName    = flag.String("scenario", "", "run a registered scenario by name instead of the paper's two campaigns")
 		scenFile    = flag.String("scenario-file", "", "run a campaign spec decoded from this JSON file")
 		listScens   = flag.Bool("list-scenarios", false, "print registered scenario names and exit")
-		queries     = flag.String("queries", "", "extract only these analysis queries (comma-separated names; scenario runs only)")
-		planFile    = flag.String("plan-file", "", "extract the analysis plan decoded from this JSON file (scenario runs only)")
+		queries     = flag.String("queries", "", "extract only these analysis queries (comma-separated names; single-scenario runs only)")
+		planFile    = flag.String("plan-file", "", "extract the analysis plan decoded from this JSON file (single-scenario runs only)")
 		listQueries = flag.Bool("list-queries", false, "print registered analysis query names and exit")
 		reportPath  = flag.String("report", "", "write the executed plan's results as JSON to this file (default: stdout)")
-		progress    = flag.Bool("progress", false, "print periodic campaign progress to stderr (sim time, events/s, records, fleet health); Ctrl-C aborts cleanly into a partial dataset (scenario runs only)")
-		metricsFile = flag.String("metrics-file", "", "write the run's full telemetry registry (engine, logstore, finalize pipeline) as JSON to this file (scenario runs only)")
-		submitURL   = flag.String("submit", "", "submit the campaign to a running measured daemon at this base URL instead of executing locally; tails its SSE progress and fetches the report (scenario runs only)")
-		calibFlag   = flag.Bool("calibrate", false, "run the scenario and diff its artifacts against the paper's observed dataset, exiting nonzero on out-of-tolerance artifacts (scenario runs only)")
+		progress    = flag.Bool("progress", false, "print periodic campaign progress to stderr (sim time, events/s, records, fleet health); Ctrl-C aborts cleanly into a partial dataset (single-scenario runs only)")
+		metricsFile = flag.String("metrics-file", "", "write the run's full telemetry registry (engine, logstore, finalize pipeline) as JSON to this file (single-scenario runs only)")
+		submitURL   = flag.String("submit", "", "submit the campaign to a running measured daemon at this base URL instead of executing locally; tails its SSE progress and fetches the report (single-scenario runs only)")
+		calibFlag   = flag.Bool("calibrate", false, "run the scenario and diff its artifacts against the paper's observed dataset, exiting nonzero on out-of-tolerance artifacts (single-scenario runs only)")
 		calibFile   = flag.String("calibration-file", "", "observed dataset (calibrate.Dataset JSON) to calibrate against instead of the built-in paper dataset (needs -calibrate)")
 	)
 	flag.Parse()
@@ -110,11 +110,10 @@ func main() {
 		}
 	}
 
-	if *scenName != "" || *scenFile != "" {
-		spec := loadSpec(*scenName, *scenFile)
+	seedSet := false
+	flag.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
+	prepare := func(spec repro.Spec) repro.Spec {
 		spec.Scale *= *scale
-		seedSet := false
-		flag.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
 		if seedSet {
 			spec.Seed = *seed
 		}
@@ -127,95 +126,52 @@ func main() {
 		if *exportDir != "" {
 			spec.Collection.ExportDir = filepath.Join(*exportDir, spec.Name)
 		}
-		if *submitURL != "" {
-			if *calibFlag || *calibFile != "" {
-				log.Fatal("-calibrate is a local run mode; calibrate a daemon run with POST /runs/{id}/calibrate instead")
-			}
-			if *storeDir != "" || *stream || *exportDir != "" || *outDir != "" || *jsonl || *progress || *metricsFile != "" {
-				log.Print("-store, -stream, -export, -out, -jsonl, -progress and -metrics-file ignored with -submit: the daemon owns collection output and progress streams over SSE")
-			}
-			submitRun(*submitURL, spec, loadPlan(*queries, *planFile, *seed), *reportPath)
-			return
+		return spec
+	}
+
+	if *scenName == "" && *scenFile == "" {
+		if *queries != "" || *planFile != "" || *progress || *metricsFile != "" || *submitURL != "" || *calibFlag || *calibFile != "" {
+			log.Fatal("-queries, -plan-file, -progress, -metrics-file, -submit and -calibrate run a single campaign; use -scenario NAME (the paper's campaigns are registered as \"distributed\" and \"greedy\")")
 		}
-		opts := runOptions(*progress, *metricsFile)
-		if *calibFlag {
-			if *queries != "" || *planFile != "" {
-				log.Fatal("-calibrate runs the observed dataset's own queries; drop -queries/-plan-file")
-			}
-			if *outDir != "" || *jsonl {
-				log.Print("-out and -jsonl ignored: a calibration run emits only the report (use -report FILE)")
-			}
-			runCalibrate(spec, *calibFile, *reportPath, opts, *metricsFile)
-			return
+		for _, name := range []string{"distributed", "greedy"} {
+			runScenario(prepare(loadSpec(name, "")), *outDir, *jsonl, repro.RunOptions{}, "")
 		}
-		if *calibFile != "" {
-			log.Fatal("-calibration-file needs -calibrate")
-		}
-		if plan := loadPlan(*queries, *planFile, *seed); plan != nil {
-			if *outDir != "" || *jsonl {
-				log.Print("-out and -jsonl ignored: a plan run emits only the selected queries as JSON (use -report FILE)")
-			}
-			runPlan(spec, *plan, *reportPath, opts, *metricsFile)
-			return
-		}
-		runScenario(spec, *outDir, *jsonl, opts, *metricsFile)
 		return
 	}
 
-	if *stream || *exportDir != "" || *queries != "" || *planFile != "" || *progress || *metricsFile != "" || *submitURL != "" || *calibFlag || *calibFile != "" {
-		log.Fatal("-stream, -export, -queries, -plan-file, -progress, -metrics-file, -submit and -calibrate need a scenario run; use -scenario NAME (the paper's campaigns are registered as \"distributed\" and \"greedy\")")
+	spec := prepare(loadSpec(*scenName, *scenFile))
+	if *submitURL != "" {
+		if *calibFlag || *calibFile != "" {
+			log.Fatal("-calibrate is a local run mode; calibrate a daemon run with POST /runs/{id}/calibrate instead")
+		}
+		if *storeDir != "" || *stream || *exportDir != "" || *outDir != "" || *jsonl || *progress || *metricsFile != "" {
+			log.Print("-store, -stream, -export, -out, -jsonl, -progress and -metrics-file ignored with -submit: the daemon owns collection output and progress streams over SSE")
+		}
+		submitRun(*submitURL, spec, loadPlan(*queries, *planFile, *seed), *reportPath)
+		return
 	}
-	runD := *campaign == "both" || *campaign == "distributed"
-	runG := *campaign == "both" || *campaign == "greedy"
-	if !runD && !runG {
-		log.Fatalf("unknown campaign %q", *campaign)
+	opts := runOptions(*progress, *metricsFile)
+	if *calibFlag {
+		if *queries != "" || *planFile != "" {
+			log.Fatal("-calibrate runs the observed dataset's own queries; drop -queries/-plan-file")
+		}
+		if *outDir != "" || *jsonl {
+			log.Print("-out and -jsonl ignored: a calibration run emits only the report (use -report FILE)")
+		}
+		runCalibrate(spec, *calibFile, *reportPath, opts, *metricsFile)
+		return
 	}
-
-	if runD {
-		cfg := repro.ScaledDistributed(*scale)
-		cfg.Seed = *seed
-		cfg.Servers = *servers
-		if *storeDir != "" {
-			cfg.StoreDir = filepath.Join(*storeDir, "distributed")
-		}
-		fmt.Printf("=== distributed campaign (24 honeypots, %d days, scale %g, %d server(s)) ===\n",
-			cfg.Days, *scale, *servers)
-		start := time.Now()
-		res, err := repro.RunDistributed(cfg)
-		if err != nil {
-			fatalRun("distributed", err)
-		}
-		summarizeRun(res, len(res.Dataset.Records), time.Since(start))
-		reportStore(res)
-		fmt.Println()
-		rep := repro.Analyze(res)
-		printDistributed(res, rep)
-		if *outDir != "" {
-			writeDistributed(*outDir, res, rep, *jsonl)
-		}
+	if *calibFile != "" {
+		log.Fatal("-calibration-file needs -calibrate")
 	}
-
-	if runG {
-		cfg := repro.ScaledGreedy(*scale)
-		cfg.Seed = *seed + 1
-		if *storeDir != "" {
-			cfg.StoreDir = filepath.Join(*storeDir, "greedy")
+	if plan := loadPlan(*queries, *planFile, *seed); plan != nil {
+		if *outDir != "" || *jsonl {
+			log.Print("-out and -jsonl ignored: a plan run emits only the selected queries as JSON (use -report FILE)")
 		}
-		fmt.Printf("=== greedy campaign (1 honeypot, %d days, scale %g) ===\n", cfg.Days, *scale)
-		start := time.Now()
-		res, err := repro.RunGreedy(cfg)
-		if err != nil {
-			fatalRun("greedy", err)
-		}
-		summarizeRun(res, len(res.Dataset.Records), time.Since(start))
-		reportStore(res)
-		fmt.Println()
-		rep := repro.Analyze(res)
-		printGreedy(res, rep)
-		if *outDir != "" {
-			writeGreedy(*outDir, res, rep, *jsonl)
-		}
+		runPlan(spec, *plan, *reportPath, opts, *metricsFile)
+		return
 	}
+	runScenario(spec, *outDir, *jsonl, opts, *metricsFile)
 }
 
 // runOptions assembles the scenario engine's telemetry tap from the
@@ -494,9 +450,9 @@ func runPlan(spec repro.Spec, plan analysis.Plan, reportPath string, opts repro.
 	log.Printf("report written to %s", reportPath)
 }
 
-// runScenario executes one spec and prints a generic report: Table I
-// and peer growth always, the group figures when the fleet has several
-// members, the fault log when faults fired.
+// runScenario executes one spec, prints its run summary, fault log and
+// report, and with outDir writes the report's files (and, with jsonl,
+// the anonymized dataset).
 func runScenario(spec repro.Spec, outDir string, jsonl bool, opts repro.RunOptions, metricsFile string) {
 	fmt.Printf("=== scenario %s (%d honeypot(s), %d server(s), %d workload(s), %d days, scale %g) ===\n",
 		spec.Name, len(spec.Fleet), spec.Topology.Servers, len(spec.Workloads), spec.Days, spec.Scale)
@@ -528,126 +484,137 @@ func runScenario(spec repro.Spec, outDir string, jsonl bool, opts repro.RunOptio
 	} else {
 		rep = repro.Analyze(res)
 	}
-	fmt.Println("--- Table I ---")
-	fmt.Println(rep.TableI)
+	printReport(res, rep, outDir)
 
-	g := rep.PeerGrowth
-	last := len(g.Cumulative) - 1
-	fmt.Println("\n--- distinct peers over time ---")
-	fmt.Printf("total peers: %d; new on last day: %d\n", g.Cumulative[last], g.New[last])
-	fmt.Printf("new/day: %s\n", analysis.Sparkline(g.New))
-
-	fmt.Println("\n--- HELLO per hour, first week ---")
-	fmt.Printf("%s\n", analysis.Sparkline(rep.HourlyHello))
-	fmt.Printf("peak %d/hour, total %d HELLOs in the window\n",
-		slices.Max(rep.HourlyHello), sum(rep.HourlyHello))
-
-	if len(res.HoneypotIDs) > 1 {
-		fmt.Println("\n--- distinct peers by strategy group ---")
-		printGroupFinal("HELLO", rep.HelloPeersByGroup)
-		printGroupFinal("START-UPLOAD", rep.StartUploadPeersByGroup)
-		printGroupFinal("REQUEST-PART", rep.RequestPartsByGroup)
-	}
-	fmt.Println()
-
-	if outDir != "" {
-		prefix := "scenario_" + spec.Name
-		mustWrite(outDir, prefix+"_table1.txt", func(f *os.File) error {
-			_, err := fmt.Fprintln(f, rep.TableI)
-			return err
-		})
-		mustWrite(outDir, prefix+"_peer_growth.csv", func(f *os.File) error {
-			return analysis.GrowthCSV(f, rep.PeerGrowth)
-		})
-		if jsonl {
-			switch {
-			case res.Frame == nil:
-				mustWrite(outDir, prefix+"_dataset.jsonl", func(f *os.File) error {
-					return logging.WriteJSONL(f, res.Dataset.Records)
-				})
-			case res.ExportDir != "":
-				// Streamed finalize: the records live only in the export
-				// store — stream them out without materializing.
-				mustWrite(outDir, prefix+"_dataset.jsonl", func(f *os.File) error {
-					store, err := logstore.Open(res.ExportDir, logstore.Options{})
-					if err != nil {
-						return err
-					}
-					defer store.Close()
-					it, err := store.Iterator()
-					if err != nil {
-						return err
-					}
-					defer it.Close()
-					_, err = logging.WriteJSONLIter(f, it)
+	if outDir != "" && jsonl {
+		name := "scenario_" + spec.Name + "_dataset.jsonl"
+		switch {
+		case res.Frame == nil:
+			mustWrite(outDir, name, func(f *os.File) error {
+				return logging.WriteJSONL(f, res.Dataset.Records)
+			})
+		case res.ExportDir != "":
+			// Streamed finalize: the records live only in the export
+			// store — stream them out without materializing.
+			mustWrite(outDir, name, func(f *os.File) error {
+				store, err := logstore.Open(res.ExportDir, logstore.Options{})
+				if err != nil {
 					return err
-				})
-			default:
-				log.Print("-jsonl ignored: a -stream run keeps no records; add -export DIR to persist the dataset")
-			}
+				}
+				defer store.Close()
+				it, err := store.Iterator()
+				if err != nil {
+					return err
+				}
+				defer it.Close()
+				_, err = logging.WriteJSONLIter(f, it)
+				return err
+			})
+		default:
+			log.Print("-jsonl ignored: a -stream run keeps no records; add -export DIR to persist the dataset")
 		}
 	}
 }
 
-func printDistributed(res *repro.Result, rep *repro.Report) {
-	fmt.Println("--- Table I (distributed column) ---")
-	fmt.Println(rep.TableI)
+// printReport prints every artifact the campaign's paper plan filled —
+// Table I, peer growth, hourly HELLO and the co-interest graph always;
+// the per-group, busiest-peer and honeypot-subset figures for a fleet;
+// the file-subset figures for the greedy campaign — and, with outDir,
+// writes each as scenario_NAME_table1.txt or scenario_NAME_figNN_*.csv.
+// Peer growth is Fig 3 for the greedy campaign and Fig 2 otherwise.
+func printReport(res *repro.Result, rep *repro.Report, outDir string) {
+	write := func(name string, fn func(*os.File) error) {
+		if outDir != "" {
+			mustWrite(outDir, "scenario_"+res.Name+"_"+name, fn)
+		}
+	}
 
-	fmt.Println("\n--- Fig 2: distinct peers over time ---")
+	fmt.Println("--- Table I ---")
+	fmt.Println(rep.TableI)
+	write("table1.txt", func(f *os.File) error {
+		_, err := fmt.Fprintln(f, rep.TableI)
+		return err
+	})
+
+	growthFig := 2
+	if res.Name == "greedy" {
+		growthFig = 3
+	}
 	g := rep.PeerGrowth
 	last := len(g.Cumulative) - 1
-	fmt.Printf("total peers: %d; new on last day: %d\n", g.Cumulative[last], g.New[last])
+	fmt.Printf("\n--- Fig %d: distinct peers over time ---\n", growthFig)
+	fmt.Printf("total peers: %d; new on first day: %d, on last day: %d\n", g.Cumulative[last], g.New[0], g.New[last])
 	fmt.Printf("new/day: %s\n", analysis.Sparkline(g.New))
+	write(fmt.Sprintf("fig%02d_peer_growth.csv", growthFig), func(f *os.File) error {
+		return analysis.GrowthCSV(f, rep.PeerGrowth)
+	})
 
 	fmt.Println("\n--- Fig 4: HELLO per hour, first week ---")
 	fmt.Printf("%s\n", analysis.Sparkline(rep.HourlyHello))
 	fmt.Printf("peak %d/hour, total %d HELLOs in the window\n",
 		slices.Max(rep.HourlyHello), sum(rep.HourlyHello))
-
-	fmt.Println("\n--- Fig 5/6: distinct peers by strategy group ---")
-	printGroupFinal("HELLO", rep.HelloPeersByGroup)
-	printGroupFinal("START-UPLOAD", rep.StartUploadPeersByGroup)
-
-	fmt.Println("\n--- Fig 7: REQUEST-PART messages by group ---")
-	printGroupFinal("REQUEST-PART", rep.RequestPartsByGroup)
-
-	fmt.Printf("\n--- Fig 8/9: busiest peer (#%s, %d queries) ---\n", rep.TopPeer, rep.TopPeerQueries)
-	printGroupFinal("top-peer START-UPLOAD", rep.TopPeerStartUpload)
-	printGroupFinal("top-peer REQUEST-PART", rep.TopPeerRequestParts)
-
-	fmt.Println("\n--- Fig 10: peers vs number of honeypots (100 subsets) ---")
-	u := rep.HoneypotSubsets
-	for _, n := range []int{1, len(res.HoneypotIDs) / 2, len(res.HoneypotIDs)} {
-		if i := indexOfN(u, n); i >= 0 {
-			fmt.Printf("n=%2d: avg %.0f  min %d  max %d\n", n, u.Avg[i], u.Min[i], u.Max[i])
+	write("fig04_hourly_hello.csv", func(f *os.File) error {
+		rows := make([][]string, len(rep.HourlyHello))
+		for i, v := range rep.HourlyHello {
+			rows[i] = []string{fmt.Sprint(i), fmt.Sprint(v)}
 		}
+		return analysis.WriteCSV(f, []string{"hour", "hello"}, rows)
+	})
+
+	if len(rep.HoneypotSubsets.N) > 0 {
+		fmt.Println("\n--- Fig 5/6: distinct peers by strategy group ---")
+		printGroupFinal("HELLO", rep.HelloPeersByGroup)
+		printGroupFinal("START-UPLOAD", rep.StartUploadPeersByGroup)
+		fmt.Println("\n--- Fig 7: REQUEST-PART messages by group ---")
+		printGroupFinal("REQUEST-PART", rep.RequestPartsByGroup)
+		fmt.Printf("\n--- Fig 8/9: busiest peer (#%s, %d queries) ---\n", rep.TopPeer, rep.TopPeerQueries)
+		printGroupFinal("top-peer START-UPLOAD", rep.TopPeerStartUpload)
+		printGroupFinal("top-peer REQUEST-PART", rep.TopPeerRequestParts)
+		fmt.Println("\n--- Fig 10: peers vs number of honeypots (100 subsets) ---")
+		u := rep.HoneypotSubsets
+		for _, n := range []int{1, len(res.HoneypotIDs) / 2, len(res.HoneypotIDs)} {
+			if i := indexOfN(u, n); i >= 0 {
+				fmt.Printf("n=%2d: avg %.0f  min %d  max %d\n", n, u.Avg[i], u.Min[i], u.Max[i])
+			}
+		}
+		for _, fig := range []struct {
+			name string
+			gs   analysis.GroupSeries
+		}{
+			{"fig05_hello_peers_by_group.csv", rep.HelloPeersByGroup},
+			{"fig06_startupload_peers_by_group.csv", rep.StartUploadPeersByGroup},
+			{"fig07_requestpart_by_group.csv", rep.RequestPartsByGroup},
+			{"fig08_toppeer_startupload.csv", rep.TopPeerStartUpload},
+			{"fig09_toppeer_requestpart.csv", rep.TopPeerRequestParts},
+		} {
+			write(fig.name, func(f *os.File) error { return analysis.GroupCSV(f, fig.gs) })
+		}
+		write("fig10_honeypot_subsets.csv", func(f *os.File) error {
+			return analysis.SubsetCSV(f, rep.HoneypotSubsets)
+		})
 	}
-	fmt.Println()
-}
 
-func printGreedy(res *repro.Result, rep *repro.Report) {
-	fmt.Println("--- Table I (greedy column) ---")
-	fmt.Println(rep.TableI)
-
-	fmt.Println("\n--- Fig 3: distinct peers over time ---")
-	g := rep.PeerGrowth
-	last := len(g.Cumulative) - 1
-	fmt.Printf("total peers: %d; new on last day: %d (day 1 = init: %d)\n",
-		g.Cumulative[last], g.New[last], g.New[0])
-	fmt.Printf("new/day: %s\n", analysis.Sparkline(g.New))
-
-	fmt.Println("\n--- Fig 11: peers vs number of random files ---")
-	printSubsetSummary(rep.RandomFileSubsets)
-	fmt.Println("\n--- Fig 12: peers vs number of popular files ---")
-	printSubsetSummary(rep.PopularFileSubsets)
+	if len(rep.RandomFiles) > 0 {
+		fmt.Println("\n--- Fig 11: peers vs number of random files ---")
+		printSubsetSummary(rep.RandomFileSubsets)
+		fmt.Println("\n--- Fig 12: peers vs number of popular files ---")
+		printSubsetSummary(rep.PopularFileSubsets)
+		write("fig11_random_files.csv", func(f *os.File) error {
+			return analysis.SubsetCSV(f, rep.RandomFileSubsets)
+		})
+		write("fig12_popular_files.csv", func(f *os.File) error {
+			return analysis.SubsetCSV(f, rep.PopularFileSubsets)
+		})
+	}
 
 	ci := rep.CoInterest
 	fmt.Println("\n--- Co-interest graph (paper §V future work) ---")
 	fmt.Printf("peers %d, files %d, edges %d; %.1f files/peer, %.1f peers/file\n",
 		ci.Peers, ci.Files, ci.Edges, ci.MeanFilesPerPeer, ci.MeanPeersPerFile)
-	fmt.Printf("components %d, largest spans %d vertices (%.0f%% of the graph)\n",
-		ci.Components, ci.LargestComponent,
-		100*float64(ci.LargestComponent)/float64(ci.Peers+ci.Files))
+	if n := ci.Peers + ci.Files; n > 0 {
+		fmt.Printf("components %d, largest spans %d vertices (%.0f%% of the graph)\n",
+			ci.Components, ci.LargestComponent, 100*float64(ci.LargestComponent)/float64(n))
+	}
 	fmt.Println()
 }
 
@@ -680,67 +647,6 @@ func indexOfN(u stats.SubsetUnion, n int) int {
 		}
 	}
 	return -1
-}
-
-func writeDistributed(dir string, res *repro.Result, rep *repro.Report, jsonl bool) {
-	mustWrite(dir, "table1_distributed.txt", func(f *os.File) error {
-		_, err := fmt.Fprintln(f, rep.TableI)
-		return err
-	})
-	mustWrite(dir, "fig02_peer_growth.csv", func(f *os.File) error {
-		return analysis.GrowthCSV(f, rep.PeerGrowth)
-	})
-	mustWrite(dir, "fig04_hourly_hello.csv", func(f *os.File) error {
-		rows := make([][]string, len(rep.HourlyHello))
-		for i, v := range rep.HourlyHello {
-			rows[i] = []string{fmt.Sprint(i), fmt.Sprint(v)}
-		}
-		return analysis.WriteCSV(f, []string{"hour", "hello"}, rows)
-	})
-	mustWrite(dir, "fig05_hello_peers_by_group.csv", func(f *os.File) error {
-		return analysis.GroupCSV(f, rep.HelloPeersByGroup)
-	})
-	mustWrite(dir, "fig06_startupload_peers_by_group.csv", func(f *os.File) error {
-		return analysis.GroupCSV(f, rep.StartUploadPeersByGroup)
-	})
-	mustWrite(dir, "fig07_requestpart_by_group.csv", func(f *os.File) error {
-		return analysis.GroupCSV(f, rep.RequestPartsByGroup)
-	})
-	mustWrite(dir, "fig08_toppeer_startupload.csv", func(f *os.File) error {
-		return analysis.GroupCSV(f, rep.TopPeerStartUpload)
-	})
-	mustWrite(dir, "fig09_toppeer_requestpart.csv", func(f *os.File) error {
-		return analysis.GroupCSV(f, rep.TopPeerRequestParts)
-	})
-	mustWrite(dir, "fig10_honeypot_subsets.csv", func(f *os.File) error {
-		return analysis.SubsetCSV(f, rep.HoneypotSubsets)
-	})
-	if jsonl {
-		mustWrite(dir, "distributed_dataset.jsonl", func(f *os.File) error {
-			return logging.WriteJSONL(f, res.Dataset.Records)
-		})
-	}
-}
-
-func writeGreedy(dir string, res *repro.Result, rep *repro.Report, jsonl bool) {
-	mustWrite(dir, "table1_greedy.txt", func(f *os.File) error {
-		_, err := fmt.Fprintln(f, rep.TableI)
-		return err
-	})
-	mustWrite(dir, "fig03_peer_growth.csv", func(f *os.File) error {
-		return analysis.GrowthCSV(f, rep.PeerGrowth)
-	})
-	mustWrite(dir, "fig11_random_files.csv", func(f *os.File) error {
-		return analysis.SubsetCSV(f, rep.RandomFileSubsets)
-	})
-	mustWrite(dir, "fig12_popular_files.csv", func(f *os.File) error {
-		return analysis.SubsetCSV(f, rep.PopularFileSubsets)
-	})
-	if jsonl {
-		mustWrite(dir, "greedy_dataset.jsonl", func(f *os.File) error {
-			return logging.WriteJSONL(f, res.Dataset.Records)
-		})
-	}
 }
 
 func mustWrite(dir, name string, fn func(*os.File) error) {

@@ -22,25 +22,48 @@ import (
 	"repro/internal/wire"
 )
 
-// smallDistributed is large enough for every figure to be meaningful but
-// runs in a couple of seconds.
-func smallDistributed() repro.DistributedConfig {
-	cfg := repro.ScaledDistributed(0.01)
-	cfg.Catalog = catalog.Config{NumFiles: 10_000, Vocabulary: 1_000, PopularityExp: 0.9, Seed: 1}
-	cfg.LibraryRegion = 3_000
-	return cfg
+// paperSpec returns a registered paper campaign at a reduced arrival
+// scale over a smaller file catalog: the shape the root package's tests
+// and benchmarks run at.
+func paperSpec(tb testing.TB, name string, scale float64, cat catalog.Config) repro.Spec {
+	tb.Helper()
+	spec, err := repro.ScenarioSpec(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	spec.Scale = scale
+	spec.Catalog = cat
+	return spec
 }
 
-func smallGreedy() repro.GreedyConfig {
-	cfg := repro.ScaledGreedy(0.01)
-	cfg.Catalog = catalog.Config{NumFiles: 10_000, Vocabulary: 1_000, PopularityExp: 0.9, Seed: 2}
-	return cfg
+// setAdoptionCap caps the greedy honeypot's advertised list; the
+// workload normalizes its per-file arrival weights over the same count.
+func setAdoptionCap(spec *repro.Spec, n int) {
+	spec.Fleet[0].GreedyMaxFiles = n
+	spec.Workloads[0].Targets.NormFiles = n
+}
+
+// smallDistributed is large enough for every figure to be meaningful but
+// runs in a couple of seconds.
+func smallDistributed(tb testing.TB) repro.Spec {
+	spec := paperSpec(tb, "distributed", 0.01, catalog.Config{NumFiles: 10_000, Vocabulary: 1_000, PopularityExp: 0.9, Seed: 1})
+	spec.Workloads[0].LibraryRegion = 3_000
+	return spec
+}
+
+// smallGreedy keeps the advertised list in proportion to the observing
+// population: the paper's 3,175-file cap, scaled by four times the
+// arrival scale.
+func smallGreedy(tb testing.TB) repro.Spec {
+	spec := paperSpec(tb, "greedy", 0.01, catalog.Config{NumFiles: 10_000, Vocabulary: 1_000, PopularityExp: 0.9, Seed: 2})
+	setAdoptionCap(&spec, 127)
+	return spec
 }
 
 // TestDistributedCampaignShape checks the qualitative claims of the
 // paper's evaluation on a scaled distributed campaign.
 func TestDistributedCampaignShape(t *testing.T) {
-	res, err := repro.RunDistributed(smallDistributed())
+	res, err := repro.RunSpec(smallDistributed(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +177,8 @@ func TestDistributedCampaignShape(t *testing.T) {
 
 // TestGreedyCampaignShape checks the greedy measurement's claims.
 func TestGreedyCampaignShape(t *testing.T) {
-	cfg := smallGreedy()
-	res, err := repro.RunGreedy(cfg)
+	spec := smallGreedy(t)
+	res, err := repro.RunSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +202,8 @@ func TestGreedyCampaignShape(t *testing.T) {
 	}
 
 	// Adoption grew the advertised list to the cap.
-	if len(res.Advertised) != cfg.MaxAdopted {
-		t.Errorf("advertised %d files, want cap %d", len(res.Advertised), cfg.MaxAdopted)
+	if want := spec.Fleet[0].GreedyMaxFiles; len(res.Advertised) != want {
+		t.Errorf("advertised %d files, want cap %d", len(res.Advertised), want)
 	}
 
 	// Table I: greedy sees many more peers and files than its seed count.

@@ -1,4 +1,4 @@
-package core
+package scenario
 
 // The platform's failure-handling behaviour (paper §III-A: the manager
 // notices dead or disconnected honeypots, relaunches them and re-pushes
@@ -14,39 +14,38 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/honeypot"
 	"repro/internal/logging"
-	"repro/internal/scenario"
 )
 
 // faultSpec is the shared scaffolding of both failure campaigns: a
 // small fleet, a modest population, frequent collection.
-func faultSpec(name string, seed int64, days, honeypots int) scenario.Spec {
-	fleet := make([]scenario.HoneypotSpec, honeypots)
+func faultSpec(name string, seed int64, days, honeypots int) Spec {
+	fleet := make([]HoneypotSpec, honeypots)
 	for i := range fleet {
-		fleet[i] = scenario.HoneypotSpec{
+		fleet[i] = HoneypotSpec{
 			ID:       "hp-" + string(rune('0'+i)),
 			Strategy: honeypot.RandomContent.String(),
-			Files:    scenario.FilesSpec{Kind: "four-bait"},
+			Files:    FilesSpec{Kind: "four-bait"},
 		}
 	}
-	return scenario.Spec{
+	return Spec{
 		Name:     name,
 		Seed:     seed,
 		Days:     days,
 		Scale:    1.0,
 		Catalog:  catalog.Config{NumFiles: 2000, Vocabulary: 400, PopularityExp: 0.9, Seed: 5},
-		Topology: scenario.Topology{Servers: 1},
+		Topology: Topology{Servers: 1},
 		Fleet:    fleet,
-		Workloads: []scenario.WorkloadSpec{{
+		Workloads: []WorkloadSpec{{
 			Label:          name + "-pop",
 			ArrivalsPerDay: 60, // per unit weight; uniform weight 1 per bait file
-			Targets:        scenario.TargetsSpec{Kind: "static"},
+			Targets:        TargetsSpec{Kind: "static"},
 		}},
-		Collection: scenario.Collection{Every: scenario.Duration(30 * time.Minute)},
+		Collection: Collection{Every: Duration(30 * time.Minute)},
 	}
 }
 
 // countAround splits a dataset at the fault window's edges.
-func countAround(res *scenario.Result, down, up time.Time) (before, after int) {
+func countAround(res *Result, down, up time.Time) (before, after int) {
 	for _, r := range res.Dataset.Records {
 		if r.Time.Before(down) {
 			before++
@@ -65,13 +64,13 @@ func countAround(res *scenario.Result, down, up time.Time) (before, after int) {
 // resumes (records exist on both sides of the outage).
 func TestServerOutageRecovery(t *testing.T) {
 	spec := faultSpec("outage", 123, 4, 4)
-	spec.Faults = scenario.FaultSchedule{{
-		Kind:     scenario.FaultServerOutage,
+	spec.Faults = FaultSchedule{{
+		Kind:     FaultServerOutage,
 		Server:   0,
-		At:       scenario.Duration(24 * time.Hour),
-		Downtime: scenario.Duration(6 * time.Hour),
+		At:       Duration(24 * time.Hour),
+		Downtime: Duration(6 * time.Hour),
 	}}
-	res, err := scenario.Run(spec)
+	res, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,13 +119,13 @@ func TestHoneypotCrashRelaunchInCampaign(t *testing.T) {
 	spec := faultSpec("relaunch", 321, 3, 1)
 	spec.Fleet[0].ID = "hp-frail"
 	spec.Fleet[0].Strategy = honeypot.NoContent.String()
-	spec.Faults = scenario.FaultSchedule{{
-		Kind:     scenario.FaultHoneypotCrash,
+	spec.Faults = FaultSchedule{{
+		Kind:     FaultHoneypotCrash,
 		Honeypot: "hp-frail",
-		At:       scenario.Duration(24 * time.Hour),
-		Downtime: scenario.Duration(4 * time.Hour),
+		At:       Duration(24 * time.Hour),
+		Downtime: Duration(4 * time.Hour),
 	}}
-	res, err := scenario.Run(spec)
+	res, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,13 @@
-package core
+package scenario
+
+// Behavioural tests of the paper's two campaigns, shrunk to unit-test
+// size: spill-to-disk collection, store hygiene, greedy adoption, and
+// the multi-server placement the paper's §III-A describes.
 
 import (
 	"errors"
 	"io"
+	"slices"
 	"testing"
 	"time"
 
@@ -14,28 +19,38 @@ import (
 
 // tinyDistributed returns a distributed campaign small enough for unit
 // tests (a few hundred peers) but with the paper's structure intact.
-func tinyDistributed() DistributedConfig {
-	cfg := DefaultDistributedConfig()
-	cfg.Days = 4
-	cfg.Honeypots = 6
-	cfg.Scale = 0.02
-	cfg.HeavyHitters = 1
-	cfg.Catalog = catalog.Config{NumFiles: 3000, Vocabulary: 500, PopularityExp: 0.9, Seed: 1}
-	cfg.LibraryRegion = 1000
-	return cfg
+func tinyDistributed() Spec {
+	spec := PaperDistributed()
+	spec.Days = 4
+	spec.Scale = 0.02
+	spec.Catalog = catalog.Config{NumFiles: 3000, Vocabulary: 500, PopularityExp: 0.9, Seed: 1}
+	spec.Fleet = AlternatingFleet(6, 1)
+	spec.Workloads[0].LibraryRegion = 1000
+	return spec
 }
 
-func tinyGreedy() GreedyConfig {
-	cfg := DefaultGreedyConfig()
-	cfg.Days = 3
-	cfg.Scale = 0.004
-	cfg.MaxAdopted = 200
-	cfg.Catalog = catalog.Config{NumFiles: 3000, Vocabulary: 500, PopularityExp: 0.9, Seed: 2}
-	return cfg
+// withServers spreads a distributed campaign's fleet round-robin over n
+// directory servers, its population logging into a random one.
+func withServers(spec Spec, n int) Spec {
+	spec.Topology.Servers = n
+	spec.Fleet = AlternatingFleet(len(spec.Fleet), n)
+	spec.Workloads = slices.Clone(spec.Workloads)
+	spec.Workloads[0].Servers = serverIndices(n)
+	return spec
+}
+
+func tinyGreedy() Spec {
+	spec := PaperGreedy()
+	spec.Days = 3
+	spec.Scale = 0.004
+	spec.Catalog = catalog.Config{NumFiles: 3000, Vocabulary: 500, PopularityExp: 0.9, Seed: 2}
+	spec.Fleet[0].GreedyMaxFiles = 200
+	spec.Workloads[0].Targets.NormFiles = 200
+	return spec
 }
 
 func TestRunDistributedSmoke(t *testing.T) {
-	res, err := RunDistributed(tinyDistributed())
+	res, err := Run(tinyDistributed())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,44 +91,22 @@ func TestRunDistributedSmoke(t *testing.T) {
 	}
 }
 
-func TestRunDistributedDeterministic(t *testing.T) {
-	cfg := tinyDistributed()
-	cfg.Days = 2
-	cfg.Scale = 0.01
-	a, err := RunDistributed(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunDistributed(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Dataset.DistinctPeers != b.Dataset.DistinctPeers ||
-		len(a.Dataset.Records) != len(b.Dataset.Records) ||
-		a.Events != b.Events {
-		t.Errorf("replay diverged: peers %d/%d records %d/%d events %d/%d",
-			a.Dataset.DistinctPeers, b.Dataset.DistinctPeers,
-			len(a.Dataset.Records), len(b.Dataset.Records),
-			a.Events, b.Events)
-	}
-}
-
 // TestRunDistributedWithStore is the acceptance check for spill-to-disk
 // campaigns: every record is persisted to segmented files, the logstore
 // Iterator streams them back in the exact timestamp order logging.Merge
 // gives the in-memory path, and the resulting dataset is identical.
 func TestRunDistributedWithStore(t *testing.T) {
-	cfg := tinyDistributed()
-	cfg.Days = 2
-	cfg.Scale = 0.01
+	spec := tinyDistributed()
+	spec.Days = 2
+	spec.Scale = 0.01
 
-	mem, err := RunDistributed(cfg)
+	mem, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	cfg.StoreDir = t.TempDir()
-	disk, err := RunDistributed(cfg)
+	spec.Collection.StoreDir = t.TempDir()
+	disk, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +141,8 @@ func TestRunDistributedWithStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	if len(store.ShardNames()) != cfg.Honeypots {
-		t.Errorf("store has %d shards, want %d", len(store.ShardNames()), cfg.Honeypots)
+	if len(store.ShardNames()) != len(spec.Fleet) {
+		t.Errorf("store has %d shards, want %d", len(store.ShardNames()), len(spec.Fleet))
 	}
 	it, err := store.Iterator()
 	if err != nil {
@@ -180,26 +173,26 @@ func TestRunDistributedWithStore(t *testing.T) {
 }
 
 func TestRunWithDirtyStoreRefused(t *testing.T) {
-	cfg := tinyDistributed()
-	cfg.Days = 2
-	cfg.Scale = 0.005
-	cfg.StoreDir = t.TempDir()
-	if _, err := RunDistributed(cfg); err != nil {
+	spec := tinyDistributed()
+	spec.Days = 2
+	spec.Scale = 0.005
+	spec.Collection.StoreDir = t.TempDir()
+	if _, err := Run(spec); err != nil {
 		t.Fatal(err)
 	}
 	// A second campaign into the same directory would double the
 	// dataset; it must be refused, not silently merged.
-	if _, err := RunDistributed(cfg); err == nil {
+	if _, err := Run(spec); err == nil {
 		t.Fatal("second campaign into a dirty store must fail")
 	}
 }
 
 func TestRunGreedyWithStoreSmoke(t *testing.T) {
-	cfg := tinyGreedy()
-	cfg.Days = 2
-	cfg.Scale = 0.002
-	cfg.StoreDir = t.TempDir()
-	res, err := RunGreedy(cfg)
+	spec := tinyGreedy()
+	spec.Days = 2
+	spec.Scale = 0.002
+	spec.Collection.StoreDir = t.TempDir()
+	res, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +202,7 @@ func TestRunGreedyWithStoreSmoke(t *testing.T) {
 }
 
 func TestRunGreedySmoke(t *testing.T) {
-	res, err := RunGreedy(tinyGreedy())
+	res, err := Run(tinyGreedy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +228,7 @@ func TestRunGreedySmoke(t *testing.T) {
 			queried[r.FileHash.String()] = true
 		}
 	}
-	if len(queried) <= tinyGreedy().SeedFiles {
+	if len(queried) <= tinyGreedy().Fleet[0].Files.N {
 		t.Errorf("queries hit only %d files", len(queried))
 	}
 }
@@ -261,22 +254,11 @@ func TestFourBaitFiles(t *testing.T) {
 	}
 }
 
-func TestInvalidConfigs(t *testing.T) {
-	if _, err := RunDistributed(DistributedConfig{}); err == nil {
-		t.Error("zero distributed config must fail")
-	}
-	if _, err := RunGreedy(GreedyConfig{}); err == nil {
-		t.Error("zero greedy config must fail")
-	}
-}
-
 // TestRunDistributedMultiServer exercises the paper's alternative
 // placement strategy: honeypots spread round-robin over several
 // directory servers, peers logging into a random one.
 func TestRunDistributedMultiServer(t *testing.T) {
-	cfg := tinyDistributed()
-	cfg.Servers = 3
-	res, err := RunDistributed(cfg)
+	res, err := Run(withServers(tinyDistributed(), 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,13 +294,11 @@ func TestRunDistributedMultiServer(t *testing.T) {
 func TestMultiServerPartitionsObservation(t *testing.T) {
 	base := tinyDistributed()
 	base.Days = 3
-	single, err := RunDistributed(base)
+	single, err := Run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi := base
-	multi.Servers = 3
-	multiRes, err := RunDistributed(multi)
+	multiRes, err := Run(withServers(base, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,9 @@ import (
 )
 
 // serialAnalyzeFrame is the pre-engine AnalyzeFrame, preserved verbatim
-// as the equivalence oracle for the query engine (the same pattern as
-// core/legacy_equiv_test.go for the scenario engine): one goroutine,
+// as the equivalence oracle for the query engine (the pattern the
+// scenario engine's legacy runners followed until golden_test.go froze
+// them as digests): one goroutine,
 // one hardcoded artifact menu, extractors called in a fixed order.
 // TestAnalyzePlanMatchesSerialReference pins the parallel plan-based
 // Analyze to it bit-for-bit.

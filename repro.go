@@ -19,11 +19,8 @@
 //	rep := repro.Analyze(res)
 //	fmt.Println(rep.TableI)
 //
-// The typed configs for the paper's two campaigns remain as a stable
-// façade: RunDistributed and RunGreedy lower a DistributedConfig or
-// GreedyConfig to its spec and run it through the same engine. Analyze
-// regenerates every table and figure of the paper's evaluation from
-// any campaign result.
+// Analyze regenerates every table and figure of the paper's evaluation
+// from any campaign result.
 //
 // Analyses are declarative too: every artifact is a named query in a
 // registry (Queries lists them), any selection forms an analysis.Plan
@@ -36,15 +33,13 @@
 // The underlying platform — eDonkey wire protocol, directory server,
 // client engine, honeypots, manager, anonymization pipeline, the
 // behavioural peer population that substitutes for the live network,
-// and the scenario engine itself — lives in the internal packages; see
-// DESIGN.md for the inventory.
+// and the scenario engine itself — lives in the internal packages.
 package repro
 
 import (
 	"fmt"
 
 	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/ed2k"
 	"repro/internal/scenario"
 	"repro/internal/stats"
@@ -56,12 +51,8 @@ type (
 	// faults + collection. Build one directly, fetch a registered one
 	// with ScenarioSpec, or decode one from JSON.
 	Spec = scenario.Spec
-	// DistributedConfig parameterizes the 24-honeypot campaign.
-	DistributedConfig = core.DistributedConfig
-	// GreedyConfig parameterizes the shared-list-harvesting campaign.
-	GreedyConfig = core.GreedyConfig
 	// Result is a finished campaign.
-	Result = core.Result
+	Result = scenario.Result
 	// RunOptions is the engine's telemetry tap configuration: a progress
 	// callback (with early abort), its cadence, and a metrics registry.
 	RunOptions = scenario.RunOptions
@@ -88,46 +79,6 @@ func RunSpec(spec Spec) (*Result, error) { return scenario.Run(spec) }
 // record-for-record identical to an untapped one.
 func RunSpecWith(spec Spec, opts RunOptions) (*Result, error) {
 	return scenario.RunWith(spec, opts)
-}
-
-// DefaultDistributed returns the paper's distributed setup (scale 1).
-func DefaultDistributed() DistributedConfig { return core.DefaultDistributedConfig() }
-
-// DefaultGreedy returns the paper's greedy setup (scale 1).
-func DefaultGreedy() GreedyConfig { return core.DefaultGreedyConfig() }
-
-// ScaledDistributed returns the distributed setup at a reduced arrival
-// scale (durations and behaviour unchanged, so curve shapes hold).
-func ScaledDistributed(scale float64) DistributedConfig {
-	cfg := core.DefaultDistributedConfig()
-	cfg.Scale = scale
-	return cfg
-}
-
-// ScaledGreedy returns the greedy setup at a reduced arrival scale. The
-// adoption cap shrinks with scale so the advertised list stays in
-// proportion to the observing population.
-func ScaledGreedy(scale float64) GreedyConfig {
-	cfg := core.DefaultGreedyConfig()
-	cfg.Scale = scale
-	if scale < 1 {
-		cfg.MaxAdopted = int(float64(cfg.MaxAdopted) * scale * 4)
-		if cfg.MaxAdopted < 50 {
-			cfg.MaxAdopted = 50
-		}
-	}
-	return cfg
-}
-
-// RunDistributed executes the paper's distributed measurement in the
-// simulated world and returns the anonymized dataset.
-func RunDistributed(cfg DistributedConfig) (*Result, error) {
-	return core.RunDistributed(cfg)
-}
-
-// RunGreedy executes the paper's greedy measurement.
-func RunGreedy(cfg GreedyConfig) (*Result, error) {
-	return core.RunGreedy(cfg)
 }
 
 // Report regenerates the paper's evaluation artifacts from one campaign.

@@ -11,35 +11,12 @@ import (
 	"repro/internal/stats"
 )
 
-func TestScaledConfigs(t *testing.T) {
-	d := repro.ScaledDistributed(0.25)
-	if d.Scale != 0.25 || d.Honeypots != 24 || d.Days != 32 {
-		t.Errorf("ScaledDistributed: %+v", d)
-	}
-	g := repro.ScaledGreedy(0.1)
-	if g.Scale != 0.1 {
-		t.Errorf("ScaledGreedy scale: %v", g.Scale)
-	}
-	if g.MaxAdopted >= repro.DefaultGreedy().MaxAdopted {
-		t.Errorf("ScaledGreedy should shrink the adoption cap: %d", g.MaxAdopted)
-	}
-	tiny := repro.ScaledGreedy(0.001)
-	if tiny.MaxAdopted < 50 {
-		t.Errorf("adoption cap floor: %d", tiny.MaxAdopted)
-	}
-	full := repro.ScaledGreedy(1)
-	if full.MaxAdopted != repro.DefaultGreedy().MaxAdopted {
-		t.Errorf("scale 1 must keep the paper's cap: %d", full.MaxAdopted)
-	}
-}
-
 func TestAnalyzePopulatesDistributedReport(t *testing.T) {
-	cfg := repro.ScaledDistributed(0.005)
-	cfg.Days = 5
-	cfg.Honeypots = 6
-	cfg.Catalog = catalog.Config{NumFiles: 2000, Vocabulary: 400, PopularityExp: 0.9, Seed: 3}
-	cfg.LibraryRegion = 800
-	res, err := repro.RunDistributed(cfg)
+	spec := paperSpec(t, "distributed", 0.005, catalog.Config{NumFiles: 2000, Vocabulary: 400, PopularityExp: 0.9, Seed: 3})
+	spec.Days = 5
+	spec.Fleet = spec.Fleet[:6]
+	spec.Workloads[0].LibraryRegion = 800
+	res, err := repro.RunSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +25,11 @@ func TestAnalyzePopulatesDistributedReport(t *testing.T) {
 	if rep.TableI.DistinctPeers == 0 {
 		t.Error("TableI empty")
 	}
-	if len(rep.PeerGrowth.Cumulative) != cfg.Days {
+	if len(rep.PeerGrowth.Cumulative) != spec.Days {
 		t.Errorf("growth has %d days", len(rep.PeerGrowth.Cumulative))
 	}
-	if len(rep.HourlyHello) != cfg.Days*24 {
-		t.Errorf("hourly hello has %d buckets (want full %d-day window)", len(rep.HourlyHello), cfg.Days)
+	if len(rep.HourlyHello) != spec.Days*24 {
+		t.Errorf("hourly hello has %d buckets (want full %d-day window)", len(rep.HourlyHello), spec.Days)
 	}
 	for _, gs := range []struct {
 		name string
@@ -69,7 +46,7 @@ func TestAnalyzePopulatesDistributedReport(t *testing.T) {
 	if rep.TopPeer == "" || rep.TopPeerQueries == 0 {
 		t.Error("top peer not identified")
 	}
-	if len(rep.HoneypotSubsets.N) != cfg.Honeypots+1 { // includes n=0
+	if len(rep.HoneypotSubsets.N) != len(spec.Fleet)+1 { // includes n=0
 		t.Errorf("Fig10 rows: %d", len(rep.HoneypotSubsets.N))
 	}
 	// Greedy-only fields stay empty for distributed campaigns.
@@ -86,11 +63,10 @@ func TestAnalyzePopulatesDistributedReport(t *testing.T) {
 }
 
 func TestAnalyzeGreedyFileSubsetsRespectOptions(t *testing.T) {
-	cfg := repro.ScaledGreedy(0.004)
-	cfg.Days = 3
-	cfg.MaxAdopted = 120
-	cfg.Catalog = catalog.Config{NumFiles: 2000, Vocabulary: 400, PopularityExp: 0.9, Seed: 4}
-	res, err := repro.RunGreedy(cfg)
+	spec := paperSpec(t, "greedy", 0.004, catalog.Config{NumFiles: 2000, Vocabulary: 400, PopularityExp: 0.9, Seed: 4})
+	spec.Days = 3
+	setAdoptionCap(&spec, 120)
+	res, err := repro.RunSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,12 +133,11 @@ func TestAnalyzeStreamWith(t *testing.T) {
 // the slice-based reference extractors on real simulated campaigns: the
 // report must be identical field by field.
 func TestAnalyzeMatchesReferenceExtractors(t *testing.T) {
-	cfg := repro.ScaledDistributed(0.004)
-	cfg.Days = 4
-	cfg.Honeypots = 6
-	cfg.Catalog = catalog.Config{NumFiles: 2000, Vocabulary: 400, PopularityExp: 0.9, Seed: 9}
-	cfg.LibraryRegion = 800
-	res, err := repro.RunDistributed(cfg)
+	spec := paperSpec(t, "distributed", 0.004, catalog.Config{NumFiles: 2000, Vocabulary: 400, PopularityExp: 0.9, Seed: 9})
+	spec.Days = 4
+	spec.Fleet = spec.Fleet[:6]
+	spec.Workloads[0].LibraryRegion = 800
+	res, err := repro.RunSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +178,10 @@ func TestAnalyzeMatchesReferenceExtractors(t *testing.T) {
 		t.Errorf("CoInterest:\n got %+v\nwant %+v", rep.CoInterest, want)
 	}
 
-	gcfg := repro.ScaledGreedy(0.004)
-	gcfg.Days = 3
-	gcfg.MaxAdopted = 120
-	gcfg.Catalog = catalog.Config{NumFiles: 2000, Vocabulary: 400, PopularityExp: 0.9, Seed: 10}
-	gres, err := repro.RunGreedy(gcfg)
+	gspec := paperSpec(t, "greedy", 0.004, catalog.Config{NumFiles: 2000, Vocabulary: 400, PopularityExp: 0.9, Seed: 10})
+	gspec.Days = 3
+	setAdoptionCap(&gspec, 120)
+	gres, err := repro.RunSpec(gspec)
 	if err != nil {
 		t.Fatal(err)
 	}
