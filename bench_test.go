@@ -617,39 +617,6 @@ func BenchmarkPeerSetBuild(b *testing.B) {
 	b.Run("parallel", run(runtime.GOMAXPROCS(0)))
 }
 
-// BenchmarkCampaignSchedulers runs the same small campaign under both
-// event schedulers — the timing wheel that is now the default and the
-// binary-heap oracle it replaced — and reports simulated events/s. The
-// datasets are pinned bit-identical by TestSchedulerDatasetEquivalence;
-// this benchmark tracks the wall-clock gap.
-func BenchmarkCampaignSchedulers(b *testing.B) {
-	spec, err := repro.ScenarioSpec("distributed")
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec.Scale = 0.004
-	spec.Days = 6
-	spec.Catalog = catalog.Config{NumFiles: 3_000, Vocabulary: 500, PopularityExp: 0.9, Seed: 1}
-	spec.Workloads[0].LibraryRegion = 1_000
-
-	run := func(kind des.SchedulerKind) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				res, err := repro.RunSpecWith(spec, repro.RunOptions{Scheduler: kind})
-				if err != nil {
-					b.Fatal(err)
-				}
-				events = res.Events
-			}
-			b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-		}
-	}
-	b.Run("wheel", run(des.SchedulerWheel))
-	b.Run("heap", run(des.SchedulerHeap))
-}
-
 // ---------------------------------------------------------------------------
 // Finalize: materialized vs streamed.
 

@@ -3,18 +3,15 @@
 // month-long measurement campaigns run as an ordered sequence of events in
 // seconds of CPU time, and identical seeds replay identical histories.
 //
-// Two schedulers implement the same (when, seq) total order: a
-// hierarchical timing wheel (the default hot path) and the original
-// binary heap, retained as the equivalence oracle behind Options or the
-// REPRO_DES_SCHEDULER environment knob. Histories are bit-identical
-// under either; see docs/PERFORMANCE.md for the argument.
+// Pending events live in a hierarchical timing wheel that pops them in
+// (when, seq) order. The original binary heap survives in the tests as
+// the wheel's equivalence oracle; see docs/PERFORMANCE.md.
 package des
 
 import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"os"
 	"time"
 )
 
@@ -27,7 +24,6 @@ type event struct {
 	seq      uint64
 	fn       func()
 	canceled bool
-	index    int    // heap position, -1 when popped (heap scheduler only)
 	gen      uint32 // bumped on recycle; stale Timers no longer match
 }
 
@@ -56,10 +52,11 @@ func (t Timer) Canceled() bool {
 	return t.e != nil && t.e.gen == t.gen && t.e.canceled
 }
 
-// scheduler is the pending-event store behind the loop. Both
-// implementations pop events in identical (when, seq) order; they only
-// differ in how the order is maintained. Canceled events stay pending
-// until popped (the loop reaps them), so pending() counts them too.
+// scheduler is the pending-event store behind the loop: the timing
+// wheel, or in tests the heap oracle it is pinned against. Both pop
+// events in identical (when, seq) order; they only differ in how the
+// order is maintained. Canceled events stay pending until popped (the
+// loop reaps them), so pending() counts them too.
 type scheduler interface {
 	schedule(e *event)
 	peek() *event // earliest pending event, nil when empty
@@ -68,52 +65,11 @@ type scheduler interface {
 	counters() (cascades, overflowScans uint64)
 }
 
-// SchedulerKind selects the pending-event store.
-type SchedulerKind string
-
-const (
-	// SchedulerWheel is the hierarchical timing wheel: O(1) schedule,
-	// amortized O(bucket) pop. The default.
-	SchedulerWheel SchedulerKind = "wheel"
-	// SchedulerHeap is the original container/heap queue, retained as
-	// the equivalence oracle.
-	SchedulerHeap SchedulerKind = "heap"
-)
-
-// SchedulerEnv overrides the default scheduler for loops that don't set
-// Options.Scheduler explicitly ("wheel" or "heap"); unrecognized values
-// are ignored so an ops typo cannot crash a campaign.
-const SchedulerEnv = "REPRO_DES_SCHEDULER"
-
-// Options configures a loop beyond its clock and seed. The zero value
-// picks the default scheduler (the timing wheel, unless SchedulerEnv
-// says otherwise). Scheduler choice can never change a campaign's
-// history — only its speed.
-type Options struct {
-	Scheduler SchedulerKind
-}
-
-func resolveScheduler(k SchedulerKind) SchedulerKind {
-	switch k {
-	case SchedulerWheel, SchedulerHeap:
-		return k
-	case "":
-	default:
-		panic(fmt.Sprintf("des: unknown scheduler %q", k))
-	}
-	switch SchedulerKind(os.Getenv(SchedulerEnv)) {
-	case SchedulerHeap:
-		return SchedulerHeap
-	}
-	return SchedulerWheel
-}
-
 // Loop is a single-threaded discrete-event loop. All callbacks run on the
 // goroutine that calls Run/RunUntil/Step, so event handlers never race.
 type Loop struct {
 	now       time.Time
 	sched     scheduler
-	kind      SchedulerKind
 	seq       uint64
 	seed      int64
 	rng       *rand.Rand
@@ -144,9 +100,9 @@ type Stats struct {
 	MaxPending int
 	// Cascades counts timing-wheel bucket redistributions (an outer
 	// level's bucket spilling into the level below it); OverflowScans
-	// counts events re-examined during overflow drains. Both are zero
-	// under the heap scheduler — they measure wheel bookkeeping, not
-	// campaign history.
+	// counts events re-examined during overflow drains. Both measure
+	// wheel bookkeeping, not campaign history (the heap oracle in the
+	// tests leaves them zero).
 	Cascades      uint64
 	OverflowScans uint64
 }
@@ -167,30 +123,15 @@ func (l *Loop) Stats() Stats {
 }
 
 // NewLoop returns a loop whose virtual clock starts at start and whose
-// random streams derive from seed, using the default scheduler.
+// random streams derive from seed.
 func NewLoop(start time.Time, seed int64) *Loop {
-	return NewLoopOpts(start, seed, Options{})
-}
-
-// NewLoopOpts is NewLoop with explicit Options.
-func NewLoopOpts(start time.Time, seed int64, opts Options) *Loop {
-	kind := resolveScheduler(opts.Scheduler)
-	l := &Loop{
-		now:  start,
-		kind: kind,
-		seed: seed,
-		rng:  rand.New(rand.NewSource(seed)),
+	return &Loop{
+		now:   start,
+		sched: newWheelScheduler(start),
+		seed:  seed,
+		rng:   rand.New(rand.NewSource(seed)),
 	}
-	if kind == SchedulerHeap {
-		l.sched = &heapScheduler{}
-	} else {
-		l.sched = newWheelScheduler(start)
-	}
-	return l
 }
-
-// Scheduler reports which pending-event store this loop runs on.
-func (l *Loop) Scheduler() SchedulerKind { return l.kind }
 
 // Now returns the current virtual time.
 func (l *Loop) Now() time.Time { return l.now }

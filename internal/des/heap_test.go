@@ -1,11 +1,13 @@
 package des
 
-import "container/heap"
+import (
+	"container/heap"
+	"time"
+)
 
 // eventQueue is the original binary-heap event store, ordered by
-// (when, seq). It survives as the heap scheduler: the equivalence
-// oracle that the timing wheel is pinned against (every registered
-// scenario's dataset must be bit-identical under either store).
+// (when, seq). It survives as a test-only scheduler: the equivalence
+// oracle the timing wheel is pinned against.
 type eventQueue []*event
 
 func (q eventQueue) Len() int { return len(q) }
@@ -17,24 +19,15 @@ func (q eventQueue) Less(i, j int) bool {
 	return q[i].seq < q[j].seq // FIFO among simultaneous events
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
+func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
 
-func (q *eventQueue) Push(x any) {
-	e := x.(*event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
+func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
 
 func (q *eventQueue) Pop() any {
 	old := *q
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.index = -1
 	*q = old[:n-1]
 	return e
 }
@@ -67,3 +60,10 @@ func (h *heapScheduler) pop() *event {
 func (h *heapScheduler) pending() int { return len(h.q) }
 
 func (h *heapScheduler) counters() (uint64, uint64) { return 0, 0 }
+
+// newHeapLoop is NewLoop running on the heap oracle.
+func newHeapLoop(start time.Time, seed int64) *Loop {
+	l := NewLoop(start, seed)
+	l.sched = &heapScheduler{}
+	return l
+}

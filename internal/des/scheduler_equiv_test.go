@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// This file pins the timing wheel to the retained heap scheduler: any
+// This file pins the timing wheel to the heap oracle (heap_test.go): any
 // workload of At/After/Cancel/Step/RunUntil — including nested
 // scheduling and cancellation from inside callbacks — must execute the
 // same events at the same times in the same order, and land identical
@@ -36,12 +36,12 @@ func opDelay(o op) time.Duration {
 	return (ms * time.Millisecond) << (o.c % 12) // up to ~37 virtual hours
 }
 
-// runScript executes the script on a fresh loop of the given kind and
+// runScript executes the script on a fresh loop from newLoop and
 // returns the execution trace ("label@offset" per fired event) and the
 // final loop state. Callbacks deterministically schedule and cancel
 // more work, so the script exercises the nested paths too.
-func runScript(kind SchedulerKind, ops []op) (trace []string, now time.Time, stats Stats) {
-	l := NewLoopOpts(t0, 1, Options{Scheduler: kind})
+func runScript(newLoop func(time.Time, int64) *Loop, ops []op) (trace []string, now time.Time, stats Stats) {
+	l := newLoop(t0, 1)
 	var timers []Timer
 	nextLabel := 0
 	var schedule func(when time.Time)
@@ -88,8 +88,8 @@ func runScript(kind SchedulerKind, ops []op) (trace []string, now time.Time, sta
 // fails the test on any divergence in trace, clock, or counters.
 func assertSchedulersAgree(t *testing.T, ops []op) {
 	t.Helper()
-	wTrace, wNow, wStats := runScript(SchedulerWheel, ops)
-	hTrace, hNow, hStats := runScript(SchedulerHeap, ops)
+	wTrace, wNow, wStats := runScript(NewLoop, ops)
+	hTrace, hNow, hStats := runScript(newHeapLoop, ops)
 	if !slices.Equal(wTrace, hTrace) {
 		i := 0
 		for i < len(wTrace) && i < len(hTrace) && wTrace[i] == hTrace[i] {
@@ -154,7 +154,7 @@ func TestSchedulerEquivalenceRandom(t *testing.T) {
 // spread of events beyond the outermost level's 208-day span must all
 // fire, in order, with overflow scans recorded.
 func TestWheelOverflowCascades(t *testing.T) {
-	l := NewLoopOpts(t0, 1, Options{Scheduler: SchedulerWheel})
+	l := NewLoop(t0, 1)
 	var got []int
 	for i, days := range []int{400, 1, 500, 250, 0, 209} {
 		i := i
@@ -179,23 +179,6 @@ func TestWheelOverflowCascades(t *testing.T) {
 	}
 }
 
-// TestSchedulerEnvKnob pins the ops override: loops built without
-// explicit Options obey REPRO_DES_SCHEDULER, and invalid values fall
-// back to the default wheel instead of crashing a campaign.
-func TestSchedulerEnvKnob(t *testing.T) {
-	t.Setenv(SchedulerEnv, "heap")
-	if k := NewLoop(t0, 1).Scheduler(); k != SchedulerHeap {
-		t.Errorf("env heap: got %q", k)
-	}
-	if k := NewLoopOpts(t0, 1, Options{Scheduler: SchedulerWheel}).Scheduler(); k != SchedulerWheel {
-		t.Errorf("explicit option must beat env: got %q", k)
-	}
-	t.Setenv(SchedulerEnv, "bogus")
-	if k := NewLoop(t0, 1).Scheduler(); k != SchedulerWheel {
-		t.Errorf("invalid env must fall back to wheel: got %q", k)
-	}
-}
-
 // BenchmarkScheduler measures steady-state events/sec at fixed queue
 // depths: each executed event schedules one replacement, so the
 // pending count stays at the target while b.N events drain. This is
@@ -203,9 +186,12 @@ func TestSchedulerEnvKnob(t *testing.T) {
 // docs/PERFORMANCE.md.
 func BenchmarkScheduler(b *testing.B) {
 	for _, pending := range []int{10_000, 100_000, 1_000_000} {
-		for _, kind := range []SchedulerKind{SchedulerHeap, SchedulerWheel} {
-			b.Run(fmt.Sprintf("%s/pending=%d", kind, pending), func(b *testing.B) {
-				l := NewLoopOpts(t0, 1, Options{Scheduler: kind})
+		for _, sched := range []struct {
+			name    string
+			newLoop func(time.Time, int64) *Loop
+		}{{"heap", newHeapLoop}, {"wheel", NewLoop}} {
+			b.Run(fmt.Sprintf("%s/pending=%d", sched.name, pending), func(b *testing.B) {
+				l := sched.newLoop(t0, 1)
 				rng := rand.New(rand.NewSource(7))
 				var tick func()
 				tick = func() {
