@@ -474,17 +474,7 @@ func runScenario(spec repro.Spec, outDir string, jsonl bool, opts repro.RunOptio
 	}
 	fmt.Println()
 
-	var rep *repro.Report
-	if res.Frame != nil {
-		// Streamed finalize: the report derives from the frame built
-		// while draining the pipeline — records never materialized.
-		if rep, err = repro.AnalyzeStream(res); err != nil {
-			log.Fatalf("%s: %v", spec.Name, err)
-		}
-	} else {
-		rep = repro.Analyze(res)
-	}
-	printReport(res, rep, outDir)
+	printReport(res, repro.Analyze(res), outDir)
 
 	if outDir != "" && jsonl {
 		name := "scenario_" + spec.Name + "_dataset.jsonl"

@@ -37,8 +37,6 @@
 package repro
 
 import (
-	"fmt"
-
 	"repro/internal/analysis"
 	"repro/internal/ed2k"
 	"repro/internal/scenario"
@@ -148,24 +146,6 @@ func AnalyzeWith(res *Result, opt AnalyzeOptions) *Report {
 		f = analysis.BuildFrame(res.Dataset.Records)
 	}
 	return AnalyzeFrame(res, f, opt)
-}
-
-// AnalyzeStream computes the full report, with default options, for a
-// campaign finalized through the streaming record pipeline: the report
-// derives entirely from the frame the engine built while draining the
-// anonymized stream, so the campaign's records never materialize. It
-// errors on a campaign that was not run with Collection.Stream or
-// Collection.ExportDir (use Analyze there).
-func AnalyzeStream(res *Result) (*Report, error) {
-	return AnalyzeStreamWith(res, DefaultAnalyzeOptions())
-}
-
-// AnalyzeStreamWith is AnalyzeStream with explicit options.
-func AnalyzeStreamWith(res *Result, opt AnalyzeOptions) (*Report, error) {
-	if res.Frame == nil {
-		return nil, fmt.Errorf("repro: campaign %q was not finalized through the streaming pipeline (set Collection.Stream or Collection.ExportDir)", res.Name)
-	}
-	return AnalyzeWith(res, opt), nil
 }
 
 // Queries lists the registered analysis query names, sorted. Any subset

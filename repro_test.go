@@ -90,10 +90,10 @@ func TestAnalyzeGreedyFileSubsetsRespectOptions(t *testing.T) {
 	}
 }
 
-// TestAnalyzeStreamWith pins the streamed-analysis entry points: the
-// options actually reach the extractors (AnalyzeStream used to hardcode
-// the defaults), and a campaign that never streamed errors cleanly.
-func TestAnalyzeStreamWith(t *testing.T) {
+// TestAnalyzeWithStreamedResult pins analysis of a streamed campaign:
+// the report derives from the frame the finalize pipeline built, and
+// the options still reach the extractors.
+func TestAnalyzeWithStreamedResult(t *testing.T) {
 	spec, err := repro.ScenarioSpec("greedy")
 	if err != nil {
 		t.Fatal(err)
@@ -104,28 +104,15 @@ func TestAnalyzeStreamWith(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Frame == nil || res.Dataset.Records != nil {
+		t.Fatalf("streamed campaign: frame %v, %d materialized records", res.Frame != nil, len(res.Dataset.Records))
+	}
 	opt := repro.DefaultAnalyzeOptions()
 	opt.FileSubsetSize = 12
-	rep, err := repro.AnalyzeStreamWith(res, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := repro.AnalyzeWith(res, opt)
 	if len(rep.RandomFiles) != 12 || len(rep.PopularFiles) != 12 {
 		t.Errorf("options ignored: %d random / %d popular files",
 			len(rep.RandomFiles), len(rep.PopularFiles))
-	}
-
-	spec.Collection.Stream = false
-	spec.Collection.ExportDir = ""
-	mres, err := repro.RunSpec(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := repro.AnalyzeStreamWith(mres, opt); err == nil {
-		t.Error("AnalyzeStreamWith accepted a materialized campaign")
-	}
-	if _, err := repro.AnalyzeStream(mres); err == nil {
-		t.Error("AnalyzeStream accepted a materialized campaign")
 	}
 }
 
