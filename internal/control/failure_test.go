@@ -48,11 +48,11 @@ func TestIsNoSourceFallbacks(t *testing.T) {
 	}{
 		// Typed code: authoritative.
 		{&RemoteError{Code: CodeNoSource, Msg: "whatever"}, true},
-		// Uncoded remote from an agent predating the field: text fallback.
-		{&RemoteError{Msg: "honeypot has no record source"}, true},
+		// Uncoded remote: the message text is not contract.
+		{&RemoteError{Msg: "honeypot has no record source"}, false},
 		// A code is present and says something else: text must not win.
 		{&RemoteError{Code: "other", Msg: "no record source"}, false},
-		// Plain local error, legacy text match.
+		// The agent's own sentinel, before it crosses the wire.
 		{errNoSource, true},
 		{errors.New("control: dial refused"), false},
 		{nil, false},
