@@ -57,6 +57,11 @@ type SubmitRequest struct {
 	Plan *analysis.Plan `json:"plan,omitempty"`
 }
 
+// maxRequestBody bounds every request body the service reads. The
+// largest legitimate bodies, a full campaign spec or an observed
+// dataset, are a few KiB.
+const maxRequestBody = 1 << 20
+
 // errorBody is every non-2xx response's JSON shape.
 type errorBody struct {
 	Error string `json:"error"`
@@ -130,10 +135,10 @@ func Handler(s *Service) http.Handler {
 // the run. 201 with the queued run on success.
 func handleSubmit(s *Service, w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{fmt.Sprintf("decoding request: %v", err)})
+		writeBodyError(w, "decoding request", err)
 		return
 	}
 	var spec scenario.Spec
@@ -176,9 +181,9 @@ func handleSubmit(s *Service, w http.ResponseWriter, r *http.Request) {
 // ReportSet in cmd/measure's exact report encoding.
 func handleQuery(s *Service, w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	body, err := io.ReadAll(r.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{fmt.Sprintf("reading request: %v", err)})
+		writeBodyError(w, "reading request", err)
 		return
 	}
 	var plan *analysis.Plan
@@ -212,9 +217,9 @@ func handleQuery(s *Service, w http.ResponseWriter, r *http.Request) {
 // "pass" field, not the HTTP status, carries the verdict.
 func handleCalibrate(s *Service, w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	body, err := io.ReadAll(r.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{fmt.Sprintf("reading request: %v", err)})
+		writeBodyError(w, "reading request", err)
 		return
 	}
 	var ds *calibrate.Dataset
@@ -313,4 +318,15 @@ func writeError(w http.ResponseWriter, err error) {
 		status = http.StatusBadRequest
 	}
 	writeJSON(w, status, errorBody{err.Error()})
+}
+
+// writeBodyError answers a request body that could not be read or
+// decoded: 413 when it exceeded maxRequestBody, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, what string, err error) {
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, status, errorBody{fmt.Sprintf("%s: %v", what, err)})
 }

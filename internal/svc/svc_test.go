@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -409,6 +410,29 @@ func TestHTTPErrorMapping(t *testing.T) {
 	bad.Days = 0
 	if _, err := client.Submit(ctx, SubmitRequest{Spec: &bad}); err == nil || !strings.Contains(err.Error(), "400") {
 		t.Errorf("invalid spec: got %v, want HTTP 400", err)
+	}
+}
+
+// TestOversizedBodiesRejected posts a body just past maxRequestBody to
+// every endpoint that reads one: each must answer 413 without reading
+// the rest.
+func TestOversizedBodiesRejected(t *testing.T) {
+	_, client := newTestService(t, Config{Workers: 1})
+
+	// A syntactically open JSON string, so a decoder must read on.
+	body := `{"scenario":"` + strings.Repeat("a", maxRequestBody+1) + `"}`
+	for _, path := range []string{"/runs", "/runs/no-such-run/query", "/runs/no-such-run/calibrate"} {
+		t.Run(strings.TrimPrefix(path, "/"), func(t *testing.T) {
+			resp, err := http.Post(client.Base+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				msg, _ := io.ReadAll(resp.Body)
+				t.Errorf("POST %s: status %d (%s), want 413", path, resp.StatusCode, msg)
+			}
+		})
 	}
 }
 
