@@ -67,7 +67,7 @@ func main() {
 	var (
 		scale       = flag.Float64("scale", 0.1, "arrival intensity scale; multiplies the spec's own scale (1.0 = paper magnitudes)")
 		outDir      = flag.String("out", "", "directory for CSV series (optional)")
-		seed        = flag.Int64("seed", 1, "simulation seed (default: each spec's own)")
+		seed        = flag.Int64("seed", 1, "simulation seed; when set, replaces each spec's own seed (it also seeds -queries plans)")
 		jsonl       = flag.Bool("jsonl", false, "also dump the anonymized dataset as JSONL into -out")
 		storeDir    = flag.String("store", "", "spill records to a segmented on-disk logstore under this directory (per-campaign subdirectory)")
 		stream      = flag.Bool("stream", false, "finalize through the streaming record pipeline: the dataset flows straight into the columnar frame, never materializing records")

@@ -14,9 +14,7 @@ import (
 )
 
 // serialAnalyzeFrame is the pre-engine AnalyzeFrame, preserved verbatim
-// as the equivalence oracle for the query engine (the pattern the
-// scenario engine's legacy runners followed until golden_test.go froze
-// them as digests): one goroutine,
+// as the equivalence oracle for the query engine: one goroutine,
 // one hardcoded artifact menu, extractors called in a fixed order.
 // TestAnalyzePlanMatchesSerialReference pins the parallel plan-based
 // Analyze to it bit-for-bit.
