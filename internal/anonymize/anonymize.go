@@ -30,55 +30,74 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"net/netip"
 	"strconv"
 	"strings"
+	"sync"
+	"unicode/utf8"
 
 	"repro/internal/logging"
 )
 
-// IPHasher is the step-1 anonymizer held by each honeypot.
+// IPHasher is the step-1 anonymizer held by each honeypot. It is safe
+// for concurrent use.
 type IPHasher struct {
-	key []byte
+	mu   sync.Mutex
+	mac  hash.Hash // keyed once; Reset before each use
+	addr [16]byte  // scratch, so nothing escapes through the interface
+	sum  [sha256.Size]byte
 }
 
 // NewIPHasher builds a hasher from the campaign secret. Every honeypot of
-// a campaign must receive the same secret.
+// a campaign must receive the same secret. The secret is copied: later
+// changes to it do not reach the hasher.
 func NewIPHasher(secret []byte) *IPHasher {
-	key := make([]byte, len(secret))
-	copy(key, secret)
-	return &IPHasher{key: key}
+	return &IPHasher{mac: hmac.New(sha256.New, secret)}
 }
 
 // HashIP returns the anonymized form of addr: the first 16 hex characters
 // of HMAC-SHA256(key, addr). One-way, keyed, and stable campaign-wide.
 func (h *IPHasher) HashIP(addr netip.Addr) string {
-	mac := hmac.New(sha256.New, h.key)
-	b := addr.As16()
-	mac.Write(b[:])
-	return hex.EncodeToString(mac.Sum(nil))[:16]
+	var out [16]byte
+	h.mu.Lock()
+	h.addr = addr.As16()
+	h.mac.Reset()
+	h.mac.Write(h.addr[:])
+	hex.Encode(out[:], h.mac.Sum(h.sum[:0])[:len(out)/2])
+	h.mu.Unlock()
+	return string(out[:])
 }
 
 // Renumberer is the manager's step-2 pass: hash values become integers in
 // first-appearance order, coherently across all logs fed to it.
 type Renumberer struct {
-	m map[string]int
+	m map[string]peerNumber
+}
+
+// peerNumber is one peer's step-2 integer and its decimal form, kept
+// together so a record is rewritten without formatting the number again.
+type peerNumber struct {
+	n int
+	s string
 }
 
 // NewRenumberer returns an empty renumberer.
 func NewRenumberer() *Renumberer {
-	return &Renumberer{m: make(map[string]int)}
+	return &Renumberer{m: make(map[string]peerNumber)}
 }
 
 // Number returns the integer assigned to hash, allocating the next one on
 // first sight.
-func (r *Renumberer) Number(hash string) int {
-	if n, ok := r.m[hash]; ok {
-		return n
+func (r *Renumberer) Number(hash string) int { return r.number(hash).n }
+
+func (r *Renumberer) number(hash string) peerNumber {
+	if p, ok := r.m[hash]; ok {
+		return p
 	}
-	n := len(r.m)
-	r.m[hash] = n
-	return n
+	p := peerNumber{n: len(r.m), s: strconv.Itoa(len(r.m))}
+	r.m[hash] = p
+	return p
 }
 
 // Count returns how many distinct hashes were seen.
@@ -93,7 +112,7 @@ func (r *Renumberer) Count() int { return len(r.m) }
 func (r *Renumberer) RenumberIter(src logging.Iterator) logging.Iterator {
 	return logging.Map(src, func(rec *logging.Record) error {
 		if rec.PeerIP != "" {
-			rec.PeerIP = strconv.Itoa(r.Number(rec.PeerIP))
+			rec.PeerIP = r.number(rec.PeerIP).s
 		}
 		return nil
 	})
@@ -107,7 +126,7 @@ func (r *Renumberer) RenumberRecords(recs []logging.Record) int {
 		if recs[i].PeerIP == "" {
 			continue
 		}
-		recs[i].PeerIP = strconv.Itoa(r.Number(recs[i].PeerIP))
+		recs[i].PeerIP = r.number(recs[i].PeerIP).s
 	}
 	return r.Count()
 }
@@ -118,52 +137,76 @@ func (r *Renumberer) RenumberRecords(recs []logging.Record) int {
 // NameAnonymizer replaces rare words in file names with integer tokens.
 // It is a two-pass stage: frequencies must be corpus-wide, so every name
 // is observed (pass 1) before any name is rewritten (pass 2).
+//
+// A word is a maximal run of ASCII letters and digits and of non-ASCII
+// runes; words are counted case-insensitively. Both passes scan a name's
+// bytes once and look each word up by its byte range, so a record costs
+// no allocation unless a word needs lower-casing or is seen for the
+// first time.
 type NameAnonymizer struct {
 	threshold int
-	freq      map[string]int
-	mapping   map[string]string
-	next      int
+	words     map[string]*word // lower-cased word → its state
+	next      int              // the next replacement token
+}
+
+// word is one distinct lower-cased word: its corpus count from pass 1
+// and, once pass 2 has replaced it, its integer token.
+type word struct {
+	count int
+	token string
 }
 
 // NewNameAnonymizer builds an anonymizer replacing words occurring fewer
 // than threshold times.
 func NewNameAnonymizer(threshold int) *NameAnonymizer {
-	return &NameAnonymizer{
-		threshold: threshold,
-		freq:      make(map[string]int),
-		mapping:   make(map[string]string),
-	}
+	return &NameAnonymizer{threshold: threshold, words: make(map[string]*word)}
 }
 
-// splitWords cuts a file name into alternating word and separator runs,
-// starting with a (possibly empty) word.
-func splitWords(name string) []string {
-	var parts []string
-	cur := strings.Builder{}
-	isWord := true
+// isWordByte reports whether c belongs to a word. Every byte of a
+// multi-byte rune, and every invalid byte, is ≥ 0x80, so a word's runes
+// and its bytes agree.
+func isWordByte(c byte) bool {
+	return c >= 0x80 || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
+}
+
+// nextWord returns the byte range [start, end) of the first word of name
+// at or after byte i; start == end means there is none.
+func nextWord(name string, i int) (start, end int) {
+	for i < len(name) && !isWordByte(name[i]) {
+		i++
+	}
+	start = i
+	for i < len(name) && isWordByte(name[i]) {
+		i++
+	}
+	return start, i
+}
+
+// validName returns name with each invalid UTF-8 byte replaced by
+// U+FFFD. Names are rewritten rune by rune in that case, as they always
+// were, so invalid bytes never reach a key or an output name.
+func validName(name string) string {
+	if utf8.ValidString(name) {
+		return name
+	}
+	var b strings.Builder
 	for _, r := range name {
-		w := isWordRune(r)
-		if w != isWord {
-			parts = append(parts, cur.String())
-			cur.Reset()
-			isWord = w
-		}
-		cur.WriteRune(r)
+		b.WriteRune(r)
 	}
-	parts = append(parts, cur.String())
-	return parts
-}
-
-func isWordRune(r rune) bool {
-	return r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' || r >= 0x80
+	return b.String()
 }
 
 // Observe counts the words of one file name. All names must be observed
 // before any call to Anonymize so frequencies are corpus-wide.
 func (a *NameAnonymizer) Observe(name string) {
-	for i, p := range splitWords(name) {
-		if i%2 == 0 && p != "" { // word positions
-			a.freq[strings.ToLower(p)]++
+	name = validName(name)
+	for start, end := nextWord(name, 0); start < end; start, end = nextWord(name, end) {
+		key := strings.ToLower(name[start:end]) // no copy if already lower-case ASCII
+		if w := a.words[key]; w != nil {
+			w.count++
+		} else {
+			// Clone so the map never pins the record the name came from.
+			a.words[strings.Clone(key)] = &word{count: 1}
 		}
 	}
 }
@@ -183,28 +226,41 @@ func (a *NameAnonymizer) ObserveIter(src logging.Iterator) error {
 	})
 }
 
-// Anonymize rewrites a name, replacing below-threshold words coherently.
+// Anonymize rewrites a name, replacing below-threshold words coherently:
+// the same word always gets the same token, and tokens are numbered in
+// order of first replacement. A name with nothing to replace is returned
+// as it is.
 func (a *NameAnonymizer) Anonymize(name string) string {
-	parts := splitWords(name)
+	name = validName(name)
 	var b strings.Builder
-	for i, p := range parts {
-		if i%2 == 1 || p == "" {
-			b.WriteString(p)
+	copied := 0 // name[:copied] is in b
+	for start, end := nextWord(name, 0); start < end; start, end = nextWord(name, end) {
+		key := strings.ToLower(name[start:end])
+		w := a.words[key]
+		if w == nil {
+			if a.threshold <= 0 {
+				continue // an unseen word's count, 0, meets the threshold
+			}
+			w = &word{}
+			a.words[strings.Clone(key)] = w
+		} else if w.count >= a.threshold {
 			continue
 		}
-		key := strings.ToLower(p)
-		if a.freq[key] >= a.threshold {
-			b.WriteString(p)
-			continue
-		}
-		repl, ok := a.mapping[key]
-		if !ok {
-			repl = strconv.Itoa(a.next)
+		if w.token == "" {
+			w.token = strconv.Itoa(a.next)
 			a.next++
-			a.mapping[key] = repl
 		}
-		b.WriteString(repl)
+		if copied == 0 {
+			b.Grow(len(name) + len(w.token))
+		}
+		b.WriteString(name[copied:start])
+		b.WriteString(w.token)
+		copied = end
 	}
+	if copied == 0 {
+		return name
+	}
+	b.WriteString(name[copied:])
 	return b.String()
 }
 
@@ -231,7 +287,7 @@ func (a *NameAnonymizer) AnonymizeIter(src logging.Iterator) logging.Iterator {
 }
 
 // ReplacedWords returns how many distinct words were replaced so far.
-func (a *NameAnonymizer) ReplacedWords() int { return len(a.mapping) }
+func (a *NameAnonymizer) ReplacedWords() int { return a.next }
 
 // AnonymizeRecordNames applies filename anonymization to every name in
 // the record set (FileName fields and shared-list entries), with corpus
@@ -278,21 +334,20 @@ func (e *AuditError) Error() string {
 		e.Index, e.Honeypot, e.Field, e.Value, e.Reason)
 }
 
-// auditRecord checks one record for address leaks.
+// auditRecord checks one record for address leaks. A hash or a number
+// never parses as an address (it has no '.' or ':'), so only values that
+// are neither are parsed.
 func auditRecord(i int, r *logging.Record) *AuditError {
 	ip := r.PeerIP
-	if ip == "" {
+	if ip == "" || looksHashed(ip) || looksNumbered(ip) {
 		return nil
 	}
 	if _, err := netip.ParseAddr(ip); err == nil {
 		return &AuditError{Index: i, Honeypot: r.Honeypot, Field: "peer_ip", Value: ip,
 			Reason: "leaks a raw address"}
 	}
-	if !looksHashed(ip) && !looksNumbered(ip) {
-		return &AuditError{Index: i, Honeypot: r.Honeypot, Field: "peer_ip", Value: ip,
-			Reason: "is neither hashed nor renumbered"}
-	}
-	return nil
+	return &AuditError{Index: i, Honeypot: r.Honeypot, Field: "peer_ip", Value: ip,
+		Reason: "is neither hashed nor renumbered"}
 }
 
 // AuditIter is the pass-through verifier stage: records flow through
@@ -321,14 +376,23 @@ func Audit(recs []logging.Record) error {
 	return nil
 }
 
+// looksHashed reports whether s is a step-1 hash: 16 hex digits of
+// either case.
 func looksHashed(s string) bool {
 	if len(s) != 16 {
 		return false
 	}
-	_, err := hex.DecodeString(s)
-	return err == nil
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f' || c >= 'A' && c <= 'F') {
+			return false
+		}
+	}
+	return true
 }
 
+// looksNumbered reports whether s is a step-2 integer. strconv.Atoi
+// allocates only when it fails.
 func looksNumbered(s string) bool {
 	_, err := strconv.Atoi(s)
 	return err == nil

@@ -1,16 +1,22 @@
 package anonymize
 
 import (
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/netip"
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/catalog"
 	"repro/internal/logging"
 )
 
@@ -45,6 +51,51 @@ func TestHashIPDoesNotRevealAddress(t *testing.T) {
 	if _, err := netip.ParseAddr(out); err == nil {
 		t.Error("hash parses as an IP address")
 	}
+}
+
+// TestHashIPMatchesFreshHMAC: the reused, reset HMAC gives exactly what
+// a freshly keyed one gives, on IPv4 and IPv6, call after call.
+func TestHashIPMatchesFreshHMAC(t *testing.T) {
+	secret := []byte("campaign-secret")
+	h := NewIPHasher(secret)
+	secret[0] = 'X' // the hasher keeps its own copy of the key
+	for _, s := range []string{"192.0.2.7", "10.0.0.1", "2001:db8::1", "::ffff:192.0.2.7", "0.0.0.0"} {
+		addr := netip.MustParseAddr(s)
+		mac := hmac.New(sha256.New, []byte("campaign-secret"))
+		b := addr.As16()
+		mac.Write(b[:])
+		want := hex.EncodeToString(mac.Sum(nil))[:16]
+		for i := 0; i < 3; i++ {
+			if got := h.HashIP(addr); got != want {
+				t.Fatalf("HashIP(%s) call %d = %s, want %s", s, i, got, want)
+			}
+		}
+	}
+}
+
+// TestHashIPConcurrent: honeypots of one campaign may share a hasher;
+// concurrent calls must each get their own address's hash.
+func TestHashIPConcurrent(t *testing.T) {
+	h := NewIPHasher([]byte("shared"))
+	ref := NewIPHasher([]byte("shared"))
+	want := make([]string, 64)
+	for i := range want {
+		want[i] = ref.HashIP(netip.AddrFrom4([4]byte{10, 0, 0, byte(i)}))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range want {
+				if got := h.HashIP(netip.AddrFrom4([4]byte{10, 0, 0, byte(i)})); got != want[i] {
+					t.Errorf("address %d hashed to %s, want %s", i, got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestRenumbererFirstAppearanceOrder(t *testing.T) {
@@ -93,6 +144,81 @@ func TestRenumberSkipsEmpty(t *testing.T) {
 	}
 }
 
+// ---------------------------------------------------------------------------
+// Reference filename anonymizer: the rune-copying splitter the word
+// scanner replaced, kept as an oracle. The scanner must reproduce it
+// exactly on every input, invalid UTF-8 included.
+
+// splitWords cuts a file name into alternating word and separator runs,
+// starting with a (possibly empty) word.
+func splitWords(name string) []string {
+	var parts []string
+	cur := strings.Builder{}
+	isWord := true
+	for _, r := range name {
+		w := isWordRune(r)
+		if w != isWord {
+			parts = append(parts, cur.String())
+			cur.Reset()
+			isWord = w
+		}
+		cur.WriteRune(r)
+	}
+	parts = append(parts, cur.String())
+	return parts
+}
+
+func isWordRune(r rune) bool {
+	return r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' || r >= 0x80
+}
+
+type refNameAnonymizer struct {
+	threshold int
+	freq      map[string]int
+	mapping   map[string]string
+	next      int
+}
+
+func newRefNameAnonymizer(threshold int) *refNameAnonymizer {
+	return &refNameAnonymizer{
+		threshold: threshold,
+		freq:      make(map[string]int),
+		mapping:   make(map[string]string),
+	}
+}
+
+func (a *refNameAnonymizer) Observe(name string) {
+	for i, p := range splitWords(name) {
+		if i%2 == 0 && p != "" { // word positions
+			a.freq[strings.ToLower(p)]++
+		}
+	}
+}
+
+func (a *refNameAnonymizer) Anonymize(name string) string {
+	parts := splitWords(name)
+	var b strings.Builder
+	for i, p := range parts {
+		if i%2 == 1 || p == "" {
+			b.WriteString(p)
+			continue
+		}
+		key := strings.ToLower(p)
+		if a.freq[key] >= a.threshold {
+			b.WriteString(p)
+			continue
+		}
+		repl, ok := a.mapping[key]
+		if !ok {
+			repl = strconv.Itoa(a.next)
+			a.next++
+			a.mapping[key] = repl
+		}
+		b.WriteString(repl)
+	}
+	return b.String()
+}
+
 func TestSplitWordsAlternation(t *testing.T) {
 	parts := splitWords("some.movie (2008)-final.avi")
 	rebuilt := strings.Join(parts, "")
@@ -108,6 +234,72 @@ func TestSplitWordsAlternation(t *testing.T) {
 			t.Errorf("part %d %q in wrong position", i, p)
 		}
 	}
+}
+
+// checkMatchesReference observes names, then anonymizes them, on both
+// the scanner and the reference, and requires identical outputs, counts
+// and tokens.
+func checkMatchesReference(t *testing.T, names []string, threshold int) {
+	t.Helper()
+	a, ref := NewNameAnonymizer(threshold), newRefNameAnonymizer(threshold)
+	for _, n := range names {
+		a.Observe(n)
+		ref.Observe(n)
+	}
+	for _, n := range names {
+		if got, want := a.Anonymize(n), ref.Anonymize(n); got != want {
+			t.Fatalf("Anonymize(%q) = %q, reference %q", n, got, want)
+		}
+	}
+	if got, want := a.ReplacedWords(), len(ref.mapping); got != want {
+		t.Fatalf("ReplacedWords = %d, reference %d", got, want)
+	}
+	for key, tok := range ref.mapping {
+		if w := a.words[key]; w == nil || w.token != tok {
+			t.Fatalf("word %q: token %+v, reference %q", key, w, tok)
+		}
+	}
+	for key, n := range ref.freq {
+		if w := a.words[key]; w == nil || w.count != n {
+			t.Fatalf("word %q: count %+v, reference %d", key, w, n)
+		}
+	}
+}
+
+// catalogNames draws n names from a small generated catalog by
+// popularity, as a campaign's records would carry them.
+func catalogNames(n int) []string {
+	c := catalog.Generate(catalog.Config{NumFiles: 2_000, Vocabulary: 500, Seed: 1})
+	rng := rand.New(rand.NewSource(1))
+	names := make([]string, n)
+	for i := range names {
+		names[i] = c.Sample(rng).Name
+	}
+	return names
+}
+
+func TestNameAnonymizerMatchesReference(t *testing.T) {
+	names := append(catalogNames(2_000),
+		"", "...", " - ", "Some.Movie (2008)-FINAL.avi", "ÉTÉ.été.Été",
+		"İstanbul.ıstanbul", "ß.SS.ss", "\xff\xfe.bad\x80word.ok",
+		"mixed\xc3.\xc3\xa9t\xc3\xa9", "\xed\xa0\x80surrogate", "\uFFFD.\xef\xbf\xbd")
+	for _, threshold := range []int{-1, 0, 1, 2, 3, 50} {
+		checkMatchesReference(t, names, threshold)
+	}
+}
+
+// FuzzNameAnonymizerMatchesReference holds the word scanner to the
+// reference splitter on arbitrary bytes: the corpus is cut into names at
+// '\n', and every output, the replaced-word count and every token must
+// agree.
+func FuzzNameAnonymizerMatchesReference(f *testing.F) {
+	f.Add(strings.Join(catalogNames(20), "\n"), uint8(2))
+	f.Add("Some.Movie (2008)-FINAL.avi\nsome.movie.avi\n\n...", uint8(2))
+	f.Add("ÉTÉ.été\n\xff\xfe.bad\x80word\nİ.ı", uint8(1))
+	f.Add("a\x00b\tc\nA-B-C\n\xc3", uint8(3))
+	f.Fuzz(func(t *testing.T, corpus string, threshold uint8) {
+		checkMatchesReference(t, strings.Split(corpus, "\n"), int(threshold%8))
+	})
 }
 
 func TestNameAnonymizerThreshold(t *testing.T) {
@@ -266,6 +458,24 @@ func BenchmarkHashIP(b *testing.B) {
 	}
 }
 
+// BenchmarkNameAnonymizer runs both passes of the filename stage, observe
+// then anonymize, over a popularity-drawn catalog corpus.
+func BenchmarkNameAnonymizer(b *testing.B) {
+	names := catalogNames(20_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := NewNameAnonymizer(2)
+		for _, n := range names {
+			a.Observe(n)
+		}
+		for _, n := range names {
+			a.Anonymize(n)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(names)), "ns/name")
+}
+
 func BenchmarkRenumber100k(b *testing.B) {
 	recs := make([]logging.Record, 100_000)
 	h := NewIPHasher([]byte("x"))
@@ -414,6 +624,50 @@ func TestAuditErrorNamesOffendingRecord(t *testing.T) {
 	}
 	if *sae != *ae {
 		t.Fatalf("stream AuditError %+v differs from slice %+v", sae, ae)
+	}
+}
+
+// TestAuditClassification: the byte-loop classifiers agree with the
+// decoders they replaced, and every verdict names the same reason.
+func TestAuditClassification(t *testing.T) {
+	cases := []struct {
+		ip     string
+		reason string // "" = passes
+	}{
+		{"0123456789abcdef", ""},
+		{"0123456789ABCDEF", ""},
+		{"0123456789abcdeg", "is neither hashed nor renumbered"},
+		{"0123456789abcde", "is neither hashed nor renumbered"},
+		{"42", ""},
+		{"+42", ""},
+		{"-7", ""},
+		{"99999999999999999999", "is neither hashed nor renumbered"},
+		{"1234567890123456", ""},
+		{"192.0.2.55", "leaks a raw address"},
+		{"2001:db8::1", "leaks a raw address"},
+		{"::", "leaks a raw address"},
+		{"fe80::1%eth0", "leaks a raw address"},
+		{"not-an-ip-nor-hash", "is neither hashed nor renumbered"},
+		{"1.2.3", "is neither hashed nor renumbered"},
+	}
+	for _, c := range cases {
+		_, hexErr := hex.DecodeString(c.ip)
+		if got, want := looksHashed(c.ip), len(c.ip) == 16 && hexErr == nil; got != want {
+			t.Errorf("looksHashed(%q) = %v, want %v", c.ip, got, want)
+		}
+		recs := []logging.Record{{Honeypot: "hp-1", PeerIP: "3"}, {Honeypot: "hp-2", PeerIP: c.ip}}
+		err := Audit(recs)
+		if c.reason == "" {
+			if err != nil {
+				t.Errorf("%q: unexpected %v", c.ip, err)
+			}
+			continue
+		}
+		want := AuditError{Index: 1, Honeypot: "hp-2", Field: "peer_ip", Value: c.ip, Reason: c.reason}
+		var ae *AuditError
+		if !errors.As(err, &ae) || *ae != want {
+			t.Errorf("%q: got %v, want %+v", c.ip, err, want)
+		}
 	}
 }
 
