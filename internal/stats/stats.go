@@ -6,6 +6,7 @@
 package stats
 
 import (
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -221,7 +222,58 @@ type SubsetUnionConfig struct {
 //
 // Subset sizes are processed in parallel; the per-(n, sample) RNG streams
 // are derived deterministically, so results do not depend on scheduling.
+// How a union is counted depends only on the input (see denseUnion), and
+// both ways count the same elements, so neither does the result.
 func UnionEstimate(sets [][]int32, universe int, cfg SubsetUnionConfig) SubsetUnion {
+	return unionEstimate(sets, universe, cfg, denseUnion(sets, universe))
+}
+
+// unionBitsetWordLimit bounds the dense path's bitsets, units × words,
+// at 64 MiB — the same budget as the analysis frame's bitsetWordLimit.
+const unionBitsetWordLimit = 1 << 23
+
+// denseUnion chooses how a sample's union is counted. The sparse way
+// visits every element of the sample's sets, stamping a per-element
+// array; the dense way ORs one bitset per set into an accumulator and
+// counts its bits, which costs the bitset's word count per set whatever
+// the set's length. The dense way is taken when the mean set length is at
+// least a quarter of that word count and all the bitsets fit the limit.
+func denseUnion(sets [][]int32, universe int) bool {
+	if universe <= 0 || len(sets) == 0 {
+		return false
+	}
+	words := (universe + 63) / 64
+	if words*len(sets) > unionBitsetWordLimit {
+		return false
+	}
+	total := 0
+	for _, s := range sets {
+		total += len(s)
+	}
+	return 4*total >= words*len(sets)
+}
+
+// unionBitsets builds one bitset of universe bits per unit, all from one
+// backing array, skipping elements outside [0, universe).
+func unionBitsets(sets [][]int32, universe int) [][]uint64 {
+	words := (universe + 63) / 64
+	backing := make([]uint64, words*len(sets))
+	out := make([][]uint64, len(sets))
+	for u, set := range sets {
+		row := backing[u*words : (u+1)*words : (u+1)*words]
+		for _, el := range set {
+			if el >= 0 && int(el) < universe {
+				row[el>>6] |= 1 << (el & 63)
+			}
+		}
+		out[u] = row
+	}
+	return out
+}
+
+// unionEstimate is UnionEstimate with the union kernel chosen by the
+// caller.
+func unionEstimate(sets [][]int32, universe int, cfg SubsetUnionConfig, dense bool) SubsetUnion {
 	if cfg.Samples <= 0 {
 		cfg.Samples = 100
 	}
@@ -252,6 +304,11 @@ func UnionEstimate(sets [][]int32, universe int, cfg SubsetUnionConfig) SubsetUn
 		workers = 1
 	}
 
+	var bitsets [][]uint64
+	if dense {
+		bitsets = unionBitsets(sets, universe)
+	}
+
 	type job struct{ row, n int }
 	jobs := make(chan job)
 	var wg sync.WaitGroup
@@ -259,10 +316,18 @@ func UnionEstimate(sets [][]int32, universe int, cfg SubsetUnionConfig) SubsetUn
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Epoch-stamped scratch: mark[i] == stamp means element i is in
-			// the current union. Reused across samples without clearing.
-			mark := make([]int32, universe)
+			// Sparse scratch, epoch-stamped: mark[i] == stamp means
+			// element i is in the current union. Reused across samples
+			// without clearing.
+			var mark []int32
 			stamp := int32(0)
+			// Dense scratch: the union's bitset.
+			var acc []uint64
+			if dense {
+				acc = make([]uint64, (universe+63)/64)
+			} else {
+				mark = make([]int32, universe)
+			}
 			// perm is kept as the identity permutation between samples:
 			// the partial Fisher-Yates below records its swaps and undoes
 			// them afterwards, so each sample touches O(n) entries instead
@@ -277,7 +342,6 @@ func UnionEstimate(sets [][]int32, universe int, cfg SubsetUnionConfig) SubsetUn
 				sum := 0.0
 				minU, maxU := -1, -1
 				for s := 0; s < cfg.Samples; s++ {
-					stamp++
 					// Partial Fisher-Yates: the first j.n entries are the sample.
 					for i := 0; i < j.n; i++ {
 						k := i + rng.Intn(nUnits-i)
@@ -285,14 +349,30 @@ func UnionEstimate(sets [][]int32, universe int, cfg SubsetUnionConfig) SubsetUn
 						swaps[i] = k
 					}
 					union := 0
-					for i := 0; i < j.n; i++ {
-						for _, el := range sets[perm[i]] {
-							if el < 0 || int(el) >= universe {
-								continue
+					switch {
+					case j.n == 0:
+					case dense:
+						copy(acc, bitsets[perm[0]])
+						for i := 1; i < j.n; i++ {
+							row := bitsets[perm[i]][:len(acc)]
+							for w, x := range row {
+								acc[w] |= x
 							}
-							if mark[el] != stamp {
-								mark[el] = stamp
-								union++
+						}
+						for _, x := range acc {
+							union += bits.OnesCount64(x)
+						}
+					default:
+						stamp++
+						for i := 0; i < j.n; i++ {
+							for _, el := range sets[perm[i]] {
+								if el < 0 || int(el) >= universe {
+									continue
+								}
+								if mark[el] != stamp {
+									mark[el] = stamp
+									union++
+								}
 							}
 						}
 					}

@@ -261,8 +261,9 @@ func TestDenseDistinctMatchesMap(t *testing.T) {
 }
 
 // naiveUnion mirrors UnionEstimate with a freshly initialized identity
-// permutation per sample — the behavior the swap-undo optimization must
-// reproduce exactly, RNG stream included.
+// permutation per sample and a fresh set per union — the behavior the
+// swap-undo optimization and both union kernels must reproduce exactly,
+// RNG stream included. Elements outside [0, universe) do not count.
 func naiveUnion(sets [][]int32, universe int, cfg SubsetUnionConfig) SubsetUnion {
 	nUnits := len(sets)
 	lo := 1
@@ -285,7 +286,9 @@ func naiveUnion(sets [][]int32, universe int, cfg SubsetUnionConfig) SubsetUnion
 			seen := map[int32]bool{}
 			for i := 0; i < n; i++ {
 				for _, el := range sets[perm[i]] {
-					seen[el] = true
+					if el >= 0 && int(el) < universe {
+						seen[el] = true
+					}
 				}
 			}
 			u := len(seen)
@@ -308,23 +311,76 @@ func naiveUnion(sets [][]int32, universe int, cfg SubsetUnionConfig) SubsetUnion
 	return out
 }
 
+// TestUnionEstimateMatchesNaive holds both union kernels to the naive
+// reference on inputs either side of the density threshold, with
+// duplicate and out-of-range elements, with and without the n=0 row, and
+// checks that UnionEstimate picks the kernel the input calls for.
 func TestUnionEstimateMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	const units, universe = 9, 120
-	sets := make([][]int32, units)
-	for u := range sets {
-		seen := map[int32]bool{}
-		for i := rng.Intn(40); i > 0; i-- {
-			seen[int32(rng.Intn(universe))] = true
-		}
-		for n := range seen {
-			sets[u] = append(sets[u], n)
-		}
+	cases := []struct {
+		name             string
+		units, universe  int
+		maxLen           int
+		outOfRange, zero bool
+		dense            bool
+	}{
+		{name: "dense", units: 9, universe: 120, maxLen: 40, zero: true, dense: true},
+		{name: "dense-out-of-range", units: 9, universe: 120, maxLen: 40, outOfRange: true, dense: true},
+		{name: "dense-wide", units: 12, universe: 5_000, maxLen: 400, zero: true, dense: true},
+		{name: "sparse", units: 9, universe: 100_000, maxLen: 40, zero: true},
+		{name: "sparse-out-of-range", units: 9, universe: 100_000, maxLen: 40, outOfRange: true},
+		{name: "sparse-below-threshold", units: 12, universe: 5_000, maxLen: 20},
 	}
-	cfg := SubsetUnionConfig{Samples: 25, Seed: 3, IncludeZero: true}
-	got := UnionEstimate(sets, universe, cfg)
-	want := naiveUnion(sets, universe, cfg)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("UnionEstimate diverged from per-sample reinit reference:\n got %+v\nwant %+v", got, want)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			sets := make([][]int32, c.units)
+			for u := range sets {
+				for i := rng.Intn(c.maxLen + 1); i > 0; i-- {
+					el := int32(rng.Intn(c.universe))
+					sets[u] = append(sets[u], el)
+					if i%5 == 0 {
+						sets[u] = append(sets[u], el) // a duplicate
+					}
+					if c.outOfRange && i%7 == 0 {
+						sets[u] = append(sets[u], -1-el, int32(c.universe)+el)
+					}
+				}
+			}
+			if got := denseUnion(sets, c.universe); got != c.dense {
+				t.Fatalf("denseUnion = %v, want %v", got, c.dense)
+			}
+			cfg := SubsetUnionConfig{Samples: 25, Seed: 3, IncludeZero: c.zero}
+			want := naiveUnion(sets, c.universe, cfg)
+			if got := UnionEstimate(sets, c.universe, cfg); !reflect.DeepEqual(got, want) {
+				t.Errorf("UnionEstimate diverged from the naive reference:\n got %+v\nwant %+v", got, want)
+			}
+			for _, dense := range []bool{false, true} {
+				if got := unionEstimate(sets, c.universe, cfg, dense); !reflect.DeepEqual(got, want) {
+					t.Errorf("dense=%v kernel diverged from the naive reference:\n got %+v\nwant %+v", dense, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestDenseUnionBounds: the bitsets' footprint limit and degenerate
+// inputs keep the sparse kernel.
+func TestDenseUnionBounds(t *testing.T) {
+	full := func(units, n int) [][]int32 {
+		sets := make([][]int32, units)
+		for u := range sets {
+			sets[u] = make([]int32, n)
+		}
+		return sets
+	}
+	if denseUnion(nil, 100) || denseUnion(full(3, 10), 0) {
+		t.Error("no units or an empty universe must take the sparse kernel")
+	}
+	universe := unionBitsetWordLimit / 4 * 64 // 1/4 of the limit per unit
+	if !denseUnion(full(4, universe/64), universe) {
+		t.Error("4 units at the footprint limit should be dense")
+	}
+	if denseUnion(full(5, universe/64), universe) {
+		t.Error("5 units over the footprint limit must be sparse")
 	}
 }
