@@ -140,9 +140,9 @@ func (r *Renumberer) RenumberRecords(recs []logging.Record) int {
 //
 // A word is a maximal run of ASCII letters and digits and of non-ASCII
 // runes; words are counted case-insensitively. Both passes scan a name's
-// bytes once and look each word up by its byte range, so a record costs
-// no allocation unless a word needs lower-casing or is seen for the
-// first time.
+// bytes once and look each word up by its byte range: observing a name
+// allocates only for a word that needs lower-casing or is new, and a
+// name with nothing to replace is returned without allocating.
 type NameAnonymizer struct {
 	threshold int
 	words     map[string]*word // lower-cased word → its state
@@ -183,8 +183,8 @@ func nextWord(name string, i int) (start, end int) {
 }
 
 // validName returns name with each invalid UTF-8 byte replaced by
-// U+FFFD. Names are rewritten rune by rune in that case, as they always
-// were, so invalid bytes never reach a key or an output name.
+// U+FFFD, as a rune-by-rune copy gives it, so that an invalid byte never
+// reaches a key or an output name, whether its word is kept or not.
 func validName(name string) string {
 	if utf8.ValidString(name) {
 		return name
